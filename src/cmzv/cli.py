@@ -308,15 +308,6 @@ def _cmd_check(args, config: RunConfig, out: _Out) -> int:
 # ---- cache administration ---------------------------------------------------------
 
 
-def _cache_dir(config: RunConfig) -> str:
-    if config.cache_dir:
-        return config.cache_dir
-    env = os.environ.get("CMZV_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "cmzv")
-
-
 def _cache_files(root: str):
     if not os.path.isdir(root):
         return []
@@ -327,29 +318,15 @@ def _cache_files(root: str):
     )
 
 
-def _read_records(path: str):
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(rec, dict) and rec.get("v") == 1:
-                out.append(rec)
-    return out
-
-
 def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
-    root = _cache_dir(config)
+    from .finite import _default_cache_dir, _load_cache, _valid_record, store_records
+
+    root = config.cache_dir or _default_cache_dir()
     files = _cache_files(root)
     if args.action == "stat":
         counts = {}
         for path in files:
-            for rec in _read_records(path):
+            for rec in _load_cache(path):
                 key = (rec["N"], rec["alpha"], rec["p"])
                 counts[key] = counts.get(key, 0) + 1
         rows = [(n, a, p, c) for (n, a, p), c in sorted(counts.items())]
@@ -367,7 +344,7 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
     if args.action == "export":
         records = []
         for path in files:
-            records.extend(_read_records(path))
+            records.extend(_load_cache(path))
         records.sort(key=lambda r: (r["N"], r["alpha"], r["p"], r["index"]))
         text = "".join(
             json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
@@ -376,13 +353,11 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
         out.write(text)
         return 0
     # import: merge a JSON-lines bundle back into per-class files
-    from .finite import store_records
-
     with open(args.file) as fh:
         records = [
             json.loads(line) for line in fh if line.strip()
         ]
-    records = [r for r in records if isinstance(r, dict) and r.get("v") == 1]
+    records = [r for r in records if _valid_record(r)]
     store_records(records, root)
     out.write(_json_text({"imported": len(records)}))
     return 0

@@ -125,16 +125,10 @@ def _reduce_vector(vec: list[int], ctx: _LevelContext) -> list[int]:
     for k in range(phi, len(vec)):
         c = vec[k]
         if c:
-            row = ctx.pow_table[k % ctx.level] if k < ctx.level else None
-            if row is None:
-                row = _power_vector(ctx, k % ctx.level)
+            row = ctx.pow_table[k % ctx.level]
             for i in range(phi):
                 out[i] += c * row[i]
     return out
-
-
-def _power_vector(ctx: _LevelContext, k: int) -> tuple[int, ...]:
-    return ctx.pow_table[k % ctx.level]
 
 
 class CycNum:
@@ -192,7 +186,7 @@ class CycNum:
     @classmethod
     def root_power(cls, level: int, a: int) -> "CycNum":
         """zeta_level raised to the power a."""
-        row = _power_vector(_ctx(level), a % level)
+        row = _ctx(level).pow_table[a % level]
         return cls(level, list(row), 1)
 
     @classmethod
@@ -328,7 +322,7 @@ class CycNum:
         out = [0] * phi
         for i, c in enumerate(self.nums):
             if c:
-                row = _power_vector(ctx, (s * i) % self.level)
+                row = ctx.pow_table[s * i % self.level]
                 for j in range(phi):
                     out[j] += c * row[j]
         return CycNum(self.level, out, self.den)
@@ -348,7 +342,7 @@ class CycNum:
         out = [0] * ctx.phi
         for i, c in enumerate(self.nums):
             if c:
-                row = _power_vector(ctx, (i * step) % new_level)
+                row = ctx.pow_table[i * step % new_level]
                 for j in range(ctx.phi):
                     out[j] += c * row[j]
         return CycNum(new_level, out, self.den)

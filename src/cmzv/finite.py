@@ -15,8 +15,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fq import BadPrimeError, Fq, FqContext, inverse_table, is_prime, make_fq_context
-from .words import Index, format_index, parse_index
+from .words import Index, format_index, nested_sum, parse_index
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,25 @@ def parse_congruence_index(text: str, level: int) -> CongruenceIndex:
 # ---- per-prime residues ---------------------------------------------------------
 
 
+def _inverse_powers(p: int):
+    """k -> n^-k mod p for n = 1..p-1 as an int64 array, computed on first use.
+
+    Products of two residues fit in int64 only for p < 2^31, the bound of
+    nested_sum; it is checked here, before the inverse table is built.
+    """
+    if p >= 2**31:
+        raise ValueError(f"int64 residues need p < 2^31, got {p}")
+    inv = np.array(inverse_table(p)[1:], dtype=np.int64)
+    powers = [inv]
+
+    def power(k):
+        while len(powers) < k:
+            powers.append(powers[-1] * inv % p)
+        return powers[k - 1]
+
+    return power
+
+
 def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
     """The truncated colored sum below p in the residue field of ctx."""
     if ctx is None:
@@ -128,35 +149,24 @@ def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
         return ctx.one()
     if r >= p:
         return ctx.zero()
-    inv = inverse_table(p)
+    power = _inverse_powers(p)
     N = ix.level
     if ctx.d == 1:
-        # everything lives in F_p; run the recurrence on plain ints
-        zp = [1] * N
-        z = ctx.zeta_coeffs[0] % p
-        for t in range(1, N):
-            zp[t] = zp[t - 1] * z % p
-        acc = [0] * r
-        for n in range(1, p):
-            for j in range(r):
-                t = zp[(ix.es[j] * n) % N] * pow(inv[n], ix.ks[j], p) % p
-                if j + 1 < r:
-                    if acc[j + 1]:
-                        acc[j] = (acc[j] + t * acc[j + 1]) % p
-                else:
-                    acc[j] = (acc[j] + t) % p
-        return ctx.scalar(acc[0])
+        # everything lives in F_p: int64 columns
+        n = np.arange(1, p, dtype=np.int64)
+        zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
+
+        def column(j):
+            return zp[ix.es[j] * n % N] * power(ix.ks[j]) % p
+
+        return ctx.scalar(int(nested_sum(r, column, p)))
     zp = [ctx.zeta_power(t) for t in range(N)]
-    acc = [ctx.zero() for _ in range(r)]
-    for n in range(1, p):
-        for j in range(r):
-            t = zp[(ix.es[j] * n) % N] * pow(inv[n], ix.ks[j], p)
-            if j + 1 < r:
-                if not acc[j + 1].is_zero:
-                    acc[j] = acc[j] + t * acc[j + 1]
-            else:
-                acc[j] = acc[j] + t
-    return acc[0]
+
+    def fq_column(j):
+        e, powers = ix.es[j], power(ix.ks[j]).tolist()
+        return np.array([zp[e * n % N] * c for n, c in enumerate(powers, 1)], dtype=object)
+
+    return nested_sum(r, fq_column)
 
 
 def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
@@ -166,21 +176,13 @@ def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
         return 1 % p
     if r >= p:
         return 0
-    inv = inverse_table(p)
-    N = cix.level
-    acc = [0] * r
-    for n in range(1, p):
-        nm = n % N
-        for j in range(r):
-            if nm != cix.fs[j]:
-                continue
-            t = pow(inv[n], cix.ks[j], p)
-            if j + 1 < r:
-                if acc[j + 1]:
-                    acc[j] = (acc[j] + t * acc[j + 1]) % p
-            else:
-                acc[j] = (acc[j] + t) % p
-    return acc[0]
+    power = _inverse_powers(p)
+    residues = np.arange(1, p) % cix.level
+
+    def column(j):
+        return np.where(residues == cix.fs[j], power(cix.ks[j]), 0)
+
+    return int(nested_sum(r, column, p))
 
 
 def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
@@ -258,7 +260,33 @@ def _cache_path(cache_dir: str, N: int, alpha: int) -> str:
     return os.path.join(cache_dir, f"residues_N{N}_a{alpha}.jsonl")
 
 
+# a cache record's fields and their JSON types, besides "v": 1
+_RECORD_FIELDS = {
+    "N": int,
+    "alpha": int,
+    "p": int,
+    "index": str,
+    "modulus": list,
+    "zeta_image": list,
+    "residue": list,
+}
+
+
+def _valid_record(rec) -> bool:
+    return (
+        isinstance(rec, dict)
+        and rec.get("v") == 1
+        and all(isinstance(rec.get(k), t) for k, t in _RECORD_FIELDS.items())
+    )
+
+
+def _record_key(rec: dict) -> tuple:
+    """Records with equal keys hold the same residue; only the first is kept."""
+    return (rec["p"], rec["index"], tuple(rec["modulus"]), tuple(rec["zeta_image"]))
+
+
 def _load_cache(path: str) -> list[dict]:
+    """The well-formed records of one cache file; anything else is skipped."""
     records = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -270,7 +298,7 @@ def _load_cache(path: str) -> list[dict]:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if rec.get("v") == 1:
+                if _valid_record(rec):
                     records.append(rec)
     except FileNotFoundError:
         pass
@@ -301,20 +329,14 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
     root = cache_dir or _default_cache_dir()
     by_class: dict[tuple[int, int], list[dict]] = {}
     for rec in records:
-        if not isinstance(rec, dict) or rec.get("v") != 1:
+        if not _valid_record(rec):
             continue
         by_class.setdefault((rec["N"], rec["alpha"]), []).append(rec)
     for (N, alpha), recs in by_class.items():
         path = _cache_path(root, N, alpha)
         merged = {}
         for rec in _load_cache(path) + recs:
-            key = (
-                rec["p"],
-                rec["index"],
-                tuple(rec["modulus"]),
-                tuple(rec["zeta_image"]),
-            )
-            merged.setdefault(key, rec)
+            merged.setdefault(_record_key(rec), rec)
         _store_cache(path, list(merged.values()))
 
 
@@ -408,11 +430,7 @@ def build_residue_table(
             )
 
     if use_cache and fresh:
-        seen = {(r["index"], r["p"], tuple(r["modulus"])) for r in fresh}
-        keep = [
-            r
-            for r in records
-            if (r["index"], r["p"], tuple(r["modulus"])) not in seen
-        ]
+        seen = {_record_key(r) for r in fresh}
+        keep = [r for r in records if _record_key(r) not in seen]
         _store_cache(cache_file, keep + fresh)
     return table

@@ -81,17 +81,27 @@ def _pmul(a, b, p):
     return _ptrim(out)
 
 
-def _pmod(a, m, p):
+def _pdivmod(a, b, p):
+    """Quotient and remainder of a by b over F_p, both reduced and trimmed."""
     a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    for i in range(len(a) - 1 - dm, -1, -1):
-        c = a[i + dm] % p
+    db = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    if len(a) - 1 < db:
+        return [0], _ptrim([c % p for c in a])
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c = a[i + db] % p
         if c:
             q = c * inv_lead % p
-            for j in range(dm + 1):
-                a[i + j] = (a[i + j] - q * m[j]) % p
-    return _ptrim([c % p for c in a[:dm]]) if dm > 0 else [0]
+            quo[i] = q
+            for j in range(db + 1):
+                a[i + j] = (a[i + j] - q * b[j]) % p
+    return _ptrim(quo), _ptrim([c % p for c in a[:db]] if db > 0 else [0])
+
+
+def _pmod(a, m, p):
+    return _pdivmod(a, m, p)[1]
+
 
 def _pgcd(a, b, p):
     a, b = _ptrim([c % p for c in a]), _ptrim([c % p for c in b])
@@ -137,7 +147,7 @@ def _equal_degree_factor(f, d, p, rng):
             continue
         g = _pgcd(b, f, p)
         if 0 < len(g) - 1 < n:
-            quo = _pdiv_exact(f, g, p)
+            quo = _pdivmod(f, g, p)[0]
             return _equal_degree_factor(g, d, p, rng) + _equal_degree_factor(quo, d, p, rng)
 
 
@@ -146,21 +156,6 @@ def _zip_pad(a, b):
     a = list(a) + [0] * (n - len(a))
     b = list(b) + [0] * (n - len(b))
     return zip(a, b)
-
-
-def _pdiv_exact(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db] % p
-        q = c * inv_lead % p
-        quo[i] = q
-        if q:
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - q * b[j]) % p
-    return _ptrim(quo)
 
 
 # ---- the context and field elements ---------------------------------------
@@ -297,23 +292,6 @@ class Fq:
         return f"Fq{self.coeffs}@p{self.ctx.p}"
 
 
-def _pdivmod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    if len(a) - 1 < db:
-        return [0], _ptrim(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db] % p
-        if c:
-            q = c * inv_lead % p
-            quo[i] = q
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - q * b[j]) % p
-    return _ptrim(quo), _ptrim(a[:db] if db > 0 else [0])
-
-
 def _order_mod(p: int, N: int) -> int:
     if N == 1:
         return 1
@@ -408,47 +386,3 @@ def to_residue_field(a: CycNum, ctx: FqContext) -> Fq:
         acc = acc * w + ctx.scalar(c)
     return acc * pow(a.den, p - 2, p)
 
-
-def right_kernel(rows: list[list[Fq]]) -> list[list[Fq]]:
-    """Basis of the right kernel of a matrix over F_(p^d).
-
-    Gaussian elimination; each basis vector has a single free coordinate set
-    to one.  Returns an empty list when the kernel is trivial.
-    """
-    if not rows:
-        return []
-    ctx = rows[0][0].ctx if rows[0] else None
-    if ctx is None:
-        return []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ctx.zero()] * ncols
-        vec[fc] = ctx.one()
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
-        basis.append(vec)
-    return basis

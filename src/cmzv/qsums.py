@@ -16,15 +16,13 @@ using |[n]_q| = sin(pi n/m)/sin(pi/m) >= 1 for stability.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cyclotomic import CycNum, _ctx, _reduce_vector
-from .words import Index
+from .words import Index, nested_sum
 
 EXACT_LEVEL_LIMIT = 1200
 
@@ -122,20 +120,10 @@ class _CycElt:
         self.vec = vec
         self.den = den
 
-    @classmethod
-    def zero(cls, L):
-        return cls(L, [0] * L)
-
-    @classmethod
-    def one(cls, L):
-        v = [0] * L
-        v[0] = 1
-        return cls(L, v)
-
-    def mul(self, other: "_CycElt") -> "_CycElt":
+    def __mul__(self, other: "_CycElt") -> "_CycElt":
         return _CycElt(self.L, _cyc_mul(self.L, self.vec, other.vec), self.den * other.den)
 
-    def add(self, other: "_CycElt") -> "_CycElt":
+    def __add__(self, other: "_CycElt") -> "_CycElt":
         g = math.gcd(self.den, other.den)
         ca, cb = other.den // g, self.den // g
         vec = [ca * x + cb * y for x, y in zip(self.vec, other.vec)]
@@ -150,17 +138,6 @@ class _CycElt:
         out = _CycElt.__new__(_CycElt)
         out.L, out.vec, out.den = self.L, vec, self.den
         return out
-
-    def pow(self, k: int) -> "_CycElt":
-        result = _CycElt.one(self.L)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return result
 
 
 def _inv_one_minus_root(L: int, u: int) -> _CycElt:
@@ -201,30 +178,21 @@ def qsum_exact(m: int, index: Index) -> CycNum:
         return CycNum.zero(L)
     sm = L // m  # zeta_m = zeta_L^sm
     sn = L // N  # zeta_N = zeta_L^sn
-    ks, es = index.ks, index.es
-    kmax = max(ks)
     vec = [0] * L
     vec[0] = 1
     vec[sm] -= 1
     one_minus_q = _CycElt(L, vec)
+    # powers[k - 1][n - 1] = 1/[n]^k, grown only as far as the columns need
+    powers = [[one_minus_q * _inv_one_minus_root(L, sm * n) for n in range(1, m)]]
 
-    acc = [_CycElt.zero(L) for _ in range(r)]  # acc[j] = suffix sums from slot j
-    unit = _CycElt.one(L)
-    for n in range(1, m):
-        base = one_minus_q.mul(_inv_one_minus_root(L, sm * n))  # 1/[n]
-        powers = [unit, base]
-        for _ in range(kmax - 1):
-            powers.append(powers[-1].mul(base))
-        # ascending j so acc[j+1] still holds its value from step n-1
-        for j in range(r):
-            t = powers[ks[j]].rot(sn * es[j] * n)
-            if j + 1 < r:
-                tail = acc[j + 1]
-                if any(tail.vec):
-                    acc[j] = acc[j].add(t.mul(tail))
-            else:
-                acc[j] = acc[j].add(t)
-    return _to_cycnum(acc[0])
+    def column(j):
+        k, e = index.ks[j], index.es[j]
+        while len(powers) < k:
+            powers.append([a * b for a, b in zip(powers[-1], powers[0])])
+        terms = [t.rot(sn * e * n) for n, t in enumerate(powers[k - 1], 1)]
+        return np.array(terms, dtype=object)
+
+    return _to_cycnum(nested_sum(r, column))
 
 
 # ---- numeric engine ----------------------------------------------------------
@@ -238,7 +206,7 @@ def _longdouble_pi():
 
 
 def _numeric_prefix(m, index, weights, precision, stop):
-    """Vectorized DP; returns the nested sum with n_1 ranging up to `stop`."""
+    """The nested sum with n_1 ranging up to `stop`, one numpy column per slot."""
     r = index.depth
     if r == 0:
         return 1.0 + 0.0j
@@ -259,20 +227,16 @@ def _numeric_prefix(m, index, weights, precision, stop):
     sin_n = np.sin(pi * n / m)
     sin_1 = np.sin(pi / real(m))
     log_amp = np.log(sin_1) - np.log(sin_n)  # log of 1/|[n]|
-    S = None
     _tick(r * stop)
-    for j in range(r - 1, -1, -1):
+
+    def column(j):
         k, e = index.ks[j], index.es[j]
         theta = (-pi * (n - 1) * k) / m + (2 * pi / N) * ((e * n) % N)
         if weights is not None and weights[j]:
             theta = theta + (2 * pi / m) * np.mod(weights[j] * n, m)
-        term = np.exp(k * log_amp) * (np.cos(theta) + 1j * np.sin(theta)).astype(cplx)
-        if S is None:
-            S = np.cumsum(term)
-        else:
-            shifted = np.concatenate(([cplx(0)], S[:-1]))
-            S = np.cumsum(term * shifted)
-    return complex(S[-1])
+        return np.exp(k * log_amp) * (np.cos(theta) + 1j * np.sin(theta)).astype(cplx)
+
+    return complex(nested_sum(r, column))
 
 
 def _numeric_prefix_mp(m, index, weights, precision, stop):
@@ -283,28 +247,26 @@ def _numeric_prefix_mp(m, index, weights, precision, stop):
     with mpmath.workprec(precision + 16):
         pi = mpmath.pi
         sin1 = mpmath.sin(pi / m)
-        inv_q = [mpmath.mpc(1)] * (stop + 1)
-        for n in range(1, stop + 1):
-            # 1/[n] = (sin(pi/m)/sin(pi n/m)) * exp(-i pi (n-1)/m)
-            amp = sin1 / mpmath.sin(pi * n / m)
-            inv_q[n] = amp * mpmath.expjpi(mpmath.mpf(-(n - 1)) / m)
-        S = [mpmath.mpc(0)] * (stop + 1)
+        # 1/[n] = (sin(pi/m)/sin(pi n/m)) * exp(-i pi (n-1)/m)
+        inv_q = [
+            sin1 / mpmath.sin(pi * n / m) * mpmath.expjpi(mpmath.mpf(-(n - 1)) / m)
+            for n in range(1, stop + 1)
+        ]
         _tick(r * stop)
-        for j in range(r - 1, -1, -1):
+
+        def column(j):
             k, e = index.ks[j], index.es[j]
-            new = [mpmath.mpc(0)] * (stop + 1)
-            run = mpmath.mpc(0)
-            for n in range(1, stop + 1):
-                factor = inv_q[n] ** k
+            col = []
+            for n, inv in enumerate(inv_q, 1):
+                factor = inv**k
                 if e:
                     factor *= mpmath.expjpi(mpmath.mpf(2 * ((e * n) % N)) / N)
                 if weights is not None and weights[j]:
                     factor *= mpmath.expjpi(mpmath.mpf(2 * weights[j] * n) / m)
-                tail = S[n - 1] if j < r - 1 else mpmath.mpc(1)
-                run += factor * tail
-                new[n] = run
-            S = new
-        return complex(S[stop])
+                col.append(factor)
+            return np.array(col, dtype=object)
+
+        return complex(nested_sum(r, column))
 
 
 def default_precision(m: int) -> int:
@@ -350,29 +312,16 @@ def truncated_cmzv_exact(m: int, index: Index) -> CycNum:
         return CycNum.one(N)
     if r >= m:
         return CycNum.zero(N)
-    if N == 1:
-        acc = [Fraction(0)] * r
-        for n in range(1, m):
-            nk = [Fraction(1, n ** k) for k in index.ks]
-            for j in range(r):
-                if j + 1 < r:
-                    if acc[j + 1]:
-                        acc[j] += nk[j] * acc[j + 1]
-                else:
-                    acc[j] += nk[j]
-        return CycNum.rational(1, acc[0])
-    roots = [CycNum.root_power(N, t) for t in range(N)]
-    zero = CycNum.zero(N)
-    acc = [zero] * r
-    for n in range(1, m):
-        for j in range(r):
-            t = roots[(index.es[j] * n) % N] * Fraction(1, n ** index.ks[j])
-            if j + 1 < r:
-                if not acc[j + 1].is_zero:
-                    acc[j] = acc[j] + t * acc[j + 1]
-            else:
-                acc[j] = acc[j] + t
-    return acc[0]
+    # level 1 stays in Fraction, much faster than CycNum at level 1
+    roots = [CycNum.root_power(N, t) for t in range(N)] if N > 1 else [1]
+
+    def column(j):
+        k, e = index.ks[j], index.es[j]
+        terms = [roots[(e * n) % N] * Fraction(1, n**k) for n in range(1, m)]
+        return np.array(terms, dtype=object)
+
+    total = nested_sum(r, column)
+    return total if N > 1 else CycNum.rational(1, total)
 
 
 def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex:
@@ -389,19 +338,18 @@ def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex
         import mpmath
 
         with mpmath.workprec(precision + 16):
-            acc = [mpmath.mpc(0)] * r
             _tick(r * (m - 1))
-            for n in range(1, m):
-                prev = list(acc)  # values at n - 1
-                for j in range(r):
-                    t = mpmath.expjpi(mpmath.mpf(2 * ((index.es[j] * n) % N)) / N)
-                    t /= mpmath.mpf(n) ** index.ks[j]
-                    if j + 1 < r:
-                        if prev[j + 1]:
-                            acc[j] = acc[j] + t * prev[j + 1]
-                    else:
-                        acc[j] = acc[j] + t
-            return complex(acc[0])
+
+            def mp_column(j):
+                k, e = index.ks[j], index.es[j]
+                col = []
+                for n in range(1, m):
+                    t = mpmath.expjpi(mpmath.mpf(2 * ((e * n) % N)) / N)
+                    t /= mpmath.mpf(n) ** k
+                    col.append(t)
+                return np.array(col, dtype=object)
+
+            return complex(nested_sum(r, mp_column))
     if precision > 53:
         real, cplx = np.longdouble, np.clongdouble
         pi = _longdouble_pi()
@@ -410,17 +358,13 @@ def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex
         pi = np.pi
     n = np.arange(1, m, dtype=real)
     root_table = np.exp(1j * (2 * pi / N) * np.arange(N, dtype=real)).astype(cplx)
-    S = None
     _tick(r * (m - 1))
-    for j in range(r - 1, -1, -1):
+
+    def column(j):
         k, e = index.ks[j], index.es[j]
-        term = root_table[(e * n.astype(np.int64)) % N] / n.astype(cplx) ** k
-        if S is None:
-            S = np.cumsum(term)
-        else:
-            shifted = np.concatenate(([cplx(0)], S[:-1]))
-            S = np.cumsum(term * shifted)
-    return complex(S[-1])
+        return root_table[(e * n.astype(np.int64)) % N] / n.astype(cplx) ** k
+
+    return complex(nested_sum(r, column))
 
 
 # ---- asymptotic comparison against the symmetric main term -------------------
@@ -460,41 +404,3 @@ def asymptotic_probe(index: Index, alpha: int, m_grid, precision=None):
         )
     return rows
 
-
-# ---- request/sweep API --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QSumRequest:
-    m: int
-    index: Index
-    mode: str = "numeric"  # exact | numeric | half
-    weights: tuple | None = None
-    precision: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "numeric", "half"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(self.weights))
-            if len(self.weights) != self.index.depth:
-                raise ValueError("weights length must equal depth")
-
-
-def evaluate_request(req: QSumRequest):
-    if req.mode == "exact":
-        if req.weights:
-            raise ValueError("exact mode does not support q-power weights")
-        return qsum_exact(req.m, req.index)
-    if req.mode == "half":
-        return qsum_half_numeric(req.m, req.index, req.weights, req.precision)
-    return qsum_numeric(req.m, req.index, req.weights, req.precision)
-
-
-def sweep(requests, jobs: int = 1):
-    """Evaluate a batch of requests, optionally across processes."""
-    requests = list(requests)
-    if jobs <= 1 or len(requests) <= 1:
-        return [evaluate_request(r) for r in requests]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(evaluate_request, requests))

@@ -222,6 +222,22 @@ def test_cache_stat_json(tmp_path, monkeypatch, capsys):
     assert json.loads(out) == {"total": 0, "classes": []}
 
 
+@pytest.mark.parametrize("bad_line", ['[1,2]', '{"v":1,"N":2}'])
+def test_malformed_cache_records_are_skipped(tmp_path, monkeypatch, capsys, bad_line):
+    monkeypatch.setenv("CMZV_CACHE_DIR", str(tmp_path))
+    dim = ["dim", "--N", "1", "--wmax", "2", "--primes", "4", "--verify-primes", "2"]
+    code, dim_clean, _ = run_cli(dim, capsys)
+    assert code == 0
+    _, stat_clean, _ = run_cli(["cache", "stat"], capsys)
+    files = sorted(tmp_path.glob("residues_*.jsonl"))
+    assert files
+    for path in files:
+        with open(path, "a") as fh:
+            fh.write(bad_line + "\n")
+    assert run_cli(dim, capsys)[:2] == (0, dim_clean)
+    assert run_cli(["cache", "stat"], capsys)[:2] == (0, stat_clean)
+
+
 # ---- config validation and console entry ----
 
 

@@ -174,6 +174,14 @@ def test_congruence_depth_overflow_is_zero():
     assert congruence_residue_int(cix, 3) == 0
 
 
+def test_residues_reject_primes_past_int64_range():
+    p = 2**31 + 11  # prime; int64 products of residues would overflow
+    with pytest.raises(ValueError):
+        congruence_residue_int(CongruenceIndex((1,), (0,), 1), p)
+    with pytest.raises(ValueError):
+        finite_residue(Index((1,), (0,), 1), p, make_fq_context(p, 1))
+
+
 def test_congruence_matches_fourier_expansion():
     # exhaustive at p=7, N=3: colored values recombine into class sums
     p, N = 7, 3

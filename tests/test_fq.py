@@ -12,7 +12,6 @@ from cmzv.fq import (
     inverse_table,
     is_prime,
     make_fq_context,
-    right_kernel,
     to_residue_field,
 )
 
@@ -178,58 +177,3 @@ def test_reduce_is_ring_map(data):
     except BadPrimeError:
         pass  # denominator hit p; nothing to check
 
-
-def _int_matrix(ctx, rows):
-    return [[ctx.scalar(x) for x in row] for row in rows]
-
-
-def test_right_kernel_examples():
-    ctx = make_fq_context(7, 1)
-    # rank-1 matrix over F_7: kernel spanned by (-2, 1) = (5, 1)
-    basis = right_kernel(_int_matrix(ctx, [[1, 2], [2, 4]]))
-    assert basis == [[ctx.scalar(5), ctx.one()]]
-    eye = _int_matrix(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert right_kernel(eye) == []
-    z = right_kernel(_int_matrix(ctx, [[0, 0], [0, 0]]))
-    assert len(z) == 2
-
-
-def test_right_kernel_extension_field():
-    ctx = make_fq_context(5, 3)  # F_25
-    z = ctx.zeta_image
-    rows = [[ctx.one(), z], [z, z * z]]  # second row = z * first
-    basis = right_kernel(rows)
-    assert len(basis) == 1
-    vec = basis[0]
-    for row in rows:
-        acc = ctx.zero()
-        for r, v in zip(row, vec):
-            acc = acc + r * v
-        assert acc.is_zero
-
-
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.data(),
-)
-def test_right_kernel_annihilates(nrows, ncols, data):
-    p, N = data.draw(st.sampled_from([(3, 1), (7, 1), (5, 3)]))
-    ctx = make_fq_context(p, N)
-    rows = [
-        [
-            ctx.element([data.draw(st.integers(0, p - 1)) for _ in range(ctx.d)])
-            for _ in range(ncols)
-        ]
-        for _ in range(nrows)
-    ]
-    basis = right_kernel(rows)
-    for vec in basis:
-        for row in rows:
-            acc = ctx.zero()
-            for r, v in zip(row, vec):
-                acc = acc + r * v
-            assert acc.is_zero
-    # rank-nullity
-    rank = ncols - len(basis)
-    assert 0 <= rank <= min(nrows, ncols)

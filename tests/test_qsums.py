@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from cmzv.cyclotomic import CycNum, embed_complex
 from cmzv.qsums import (
     EXACT_LEVEL_LIMIT,
-    QSumRequest,
     asymptotic_probe,
     default_precision,
-    evaluate_request,
     field_op_counter,
     qsum_exact,
     qsum_half_numeric,
     qsum_numeric,
-    sweep,
     truncated_cmzv_exact,
     truncated_cmzv_numeric,
 )
@@ -296,7 +293,7 @@ def test_exact_op_count_scales_linearly():
     assert counts[40] <= 2.5 * counts[20]
 
 
-# ---- probe and sweep API ----------------------------------------------------------
+# ---- asymptotic probe --------------------------------------------------------------
 
 
 def test_asymptotic_probe_converges():
@@ -316,18 +313,3 @@ def test_asymptotic_probe_validates_grid():
     with pytest.raises(ValueError):
         asymptotic_probe(ix, 1, (7, 12))  # 12 is not 1 mod 3
 
-
-def test_request_validation_and_sweep():
-    ix = Index((1,), (1,), 3)
-    with pytest.raises(ValueError):
-        QSumRequest(7, ix, mode="bogus")
-    with pytest.raises(ValueError):
-        QSumRequest(7, ix, weights=(1, 2))
-    with pytest.raises(ValueError):
-        evaluate_request(QSumRequest(7, ix, mode="exact", weights=(1,)))
-
-    reqs = [QSumRequest(m, ix, mode="numeric") for m in (5, 8, 11)]
-    serial = sweep(reqs, jobs=1)
-    parallel = sweep(reqs, jobs=2)
-    assert serial == parallel
-    assert serial[0] == qsum_numeric(5, ix)

@@ -1,9 +1,11 @@
 """Word algebra: products, rewrites, and regularization decompositions."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmzv.words import (
@@ -19,6 +21,7 @@ from cmzv.words import (
     harmonic_regularize,
     index_to_word,
     indices_of_weight,
+    nested_sum,
     parse_index,
     shuffle_product,
     shuffle_regularize,
@@ -315,3 +318,66 @@ def test_index_helpers():
     assert ix.conjugate_colors() == Index((2, 1), (2, 1), 3)
     assert ix.weight == 3 and ix.depth == 2
     assert not Index((1,), (0,), 4).is_admissible
+
+
+# ---- the nested-sum kernel ----
+
+
+def brute_nested_sum(columns, stop):
+    """Sum of prod_j columns[j][n_j - 1] over every stop >= n_1 > ... > n_r >= 1."""
+    total = 0
+    for ns in itertools.combinations(range(stop, 0, -1), len(columns)):
+        term = 1
+        for col, n in zip(columns, ns):
+            term = term * col[n - 1]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_nested_sum_matches_enumeration(depth, data):
+    stop = data.draw(st.integers(depth, 30))
+    ring = data.draw(st.sampled_from(["int64", "fraction", "complex128"]))
+    p = None
+    if ring == "int64":
+        p = data.draw(st.sampled_from([2, 3, 101, 65521, 2**31 - 1]))
+        entry = st.integers(0, p - 1)
+    elif ring == "fraction":
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    else:
+        part = st.floats(-1, 1)
+        entry = st.builds(complex, part, part)
+    columns = [data.draw(st.lists(entry, min_size=stop, max_size=stop)) for _ in range(depth)]
+    dtype = {"int64": np.int64, "fraction": object, "complex128": np.complex128}[ring]
+    requested = []
+
+    def column(j):
+        requested.append(j)
+        return np.array(columns[j], dtype=dtype)
+
+    got = nested_sum(depth, column, p)
+    assert requested == list(range(depth - 1, -1, -1))  # one at a time, innermost first
+    want = brute_nested_sum(columns, stop)
+    if ring == "int64":
+        assert got == want % p
+    elif ring == "fraction":
+        assert got == want
+    else:
+        scale = brute_nested_sum([[abs(x) for x in col] for col in columns], stop)
+        assert abs(got - want) <= 1e-12 * scale
+
+
+def test_nested_sum_int64_is_exact_at_the_largest_modulus():
+    p, stop = 2**31 - 1, 30  # every product and prefix sum at its int64 worst case
+    columns = [[p - 1] * stop] * 3
+    got = nested_sum(3, lambda j: np.array(columns[j], dtype=np.int64), p)
+    assert got == brute_nested_sum(columns, stop) % p
+
+
+def test_nested_sum_rejects_moduli_past_int64_range():
+    def column(j):
+        raise AssertionError("no column may be requested")
+
+    with pytest.raises(ValueError):
+        nested_sum(2, column, p=2**31)

@@ -446,24 +446,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    config = RunConfig(
-        command=args.command,
-        N=getattr(args, "N", 1),
-        alpha=args.alpha,
-        precision=args.prec,
-        cutoff=args.cutoff,
-        train_primes=args.primes,
-        verify_primes=args.verify_primes,
-        cache_dir=args.cache_dir,
-        fmt=args.format,
-        jobs=args.jobs,
-        seed=args.seed,
-    )
+    try:
+        config = RunConfig(
+            command=args.command,
+            N=getattr(args, "N", 1),
+            alpha=args.alpha,
+            precision=args.prec,
+            cutoff=args.cutoff,
+            train_primes=args.primes,
+            verify_primes=args.verify_primes,
+            cache_dir=args.cache_dir,
+            fmt=args.format,
+            jobs=args.jobs,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = _Out(args.out)
     start = time.time()
     try:
         code = _HANDLERS[args.command](args, config, out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     invocation = {k: v for k, v in vars(args).items() if k != "out"}

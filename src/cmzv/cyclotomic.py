@@ -14,11 +14,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-try:
-    from gmpy2 import mpq as _QQ
-except ImportError:  # pragma: no cover
-    _QQ = Fraction
-
 
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -90,13 +85,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _LevelContext:
     """Cached reduction data for one cyclotomic level."""
 
-    __slots__ = ("level", "phi", "modulus", "pow_table")
+    __slots__ = ("level", "phi", "pow_table")
 
     def __init__(self, level: int):
         self.level = level
         mod = cyclotomic_polynomial(level)
         self.phi = len(mod) - 1
-        self.modulus = mod
         # pow_table[k] = coordinates of z^k on the power basis, 0 <= k < level
         phi = self.phi
         table = []
@@ -131,6 +125,65 @@ def _reduce_vector(vec: list[int], ctx: _LevelContext) -> list[int]:
     return out
 
 
+def _fold(level: int, vec: list[int], den: int) -> "CycNum":
+    """vec/den, with vec an integer vector mod x^level - 1, as a CycNum."""
+    return CycNum(level, _reduce_vector(vec, _ctx(level)), den)
+
+
+def _normalize(vec, den: int):
+    """vec/den with den > 0 and no common factor of den and all of vec."""
+    if den < 0:
+        den = -den
+        vec = [-x for x in vec]
+    g = den
+    for x in vec:
+        if x:
+            g = math.gcd(g, x)
+            if g == 1:
+                return vec, den
+    if g > 1:
+        vec = [x // g for x in vec]
+        den //= g
+    return vec, den
+
+
+def _cyc_mul(L: int, va: list[int], vb: list[int]) -> list[int]:
+    """Cyclic convolution of two length-L integer vectors.
+
+    Kronecker substitution: both vectors are packed into big integers with
+    digits wide enough for any product coefficient, and multiplied once.
+    """
+    amax = max(abs(x) for x in va)
+    bmax = max(abs(x) for x in vb)
+    if amax == 0 or bmax == 0:
+        return [0] * L
+    bound = L * amax * bmax
+    db = (bound.bit_length() + 10) // 8 + 1  # bytes per digit, B/2 > bound
+    B = 1 << (8 * db)
+    half = B >> 1
+
+    def pack(vec, positive):
+        if positive:
+            chunks = [(x if x > 0 else 0).to_bytes(db, "little") for x in vec]
+        else:
+            chunks = [(-x if x < 0 else 0).to_bytes(db, "little") for x in vec]
+        return int.from_bytes(b"".join(chunks), "little")
+
+    A = pack(va, True) - pack(va, False)
+    Bb = pack(vb, True) - pack(vb, False)
+    n2 = 2 * L
+    offset = int.from_bytes(half.to_bytes(db, "little") * n2, "little")
+    D = A * Bb + offset
+    raw = D.to_bytes(n2 * db + db, "little")
+    out = [0] * L
+    for i in range(n2 - 1):
+        d = int.from_bytes(raw[i * db : (i + 1) * db], "little") - half
+        if d:
+            j = i if i < L else i - L
+            out[j] += d
+    return out
+
+
 class CycNum:
     """An element of Q(zeta_N) on the power basis with a common denominator."""
 
@@ -148,20 +201,8 @@ class CycNum:
                 raise ValueError(f"expected {phi} coordinates at level {level}")
             if den == 0:
                 raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                den = -den
-                nums = [-c for c in nums]
-            g = den
-            for c in nums:
-                if c:
-                    g = math.gcd(g, c)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                nums = [c // g for c in nums]
+            nums, self.den = _normalize(nums, den)
             self.nums = tuple(nums)
-            self.den = den
         self._hash = None
 
     # ---- constructors -------------------------------------------------
@@ -257,43 +298,29 @@ class CycNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        ctx = _ctx(self.level)
-        phi = ctx.phi
-        a, b = self.nums, o.nums
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycNum(self.level, _reduce_vector(conv, ctx), self.den * o.den)
+        # valid mod x^L - 1 because Phi_L divides it
+        L = self.level
+        pad = [0] * (L - len(self.nums))
+        conv = _cyc_mul(L, [*self.nums, *pad], [*o.nums, *pad])
+        return _fold(L, conv, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse through the norm.
+
+        With P the product of the conjugates sigma_s(a), s != 1, the norm
+        N(a) = a * P is rational and a^-1 = P / N(a).
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        ctx = _ctx(self.level)
-        mod = [_QQ(c) for c in ctx.modulus]
-        a = [_QQ(c, self.den) for c in self.nums]
-        # extended gcd of a and the modulus over Q[x]
-        r0, r1 = mod, a
-        t0, t1 = [_QQ(0)], [_QQ(1)]
-        while True:
-            r1 = _poly_trim(r1)
-            if len(r1) == 1 and r1[0] != 0:
-                break
-            if not any(r1):
-                raise ZeroDivisionError("element not invertible")
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub_q(t0, _poly_mul_q(q, t1))
-        scale = r1[0]
-        inv_coeffs = [t / scale for t in t1]
-        inv_coeffs += [_QQ(0)] * (ctx.phi - len(inv_coeffs))
-        fr = [Fraction(int(c.numerator), int(c.denominator)) for c in inv_coeffs[: ctx.phi]]
-        return CycNum.from_coeffs(self.level, fr)
+        L = self.level
+        P = CycNum.one(L)
+        for s in range(2, L):
+            if math.gcd(s, L) == 1:
+                P = P * self.galois(s)
+        norm = (self * P).as_fraction()
+        return CycNum(L, [c * norm.denominator for c in P.nums], P.den * norm.numerator)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -317,35 +344,15 @@ class CycNum:
         """Apply the field automorphism zeta -> zeta^s (gcd(s, level) = 1)."""
         if math.gcd(s, self.level) != 1:
             raise ValueError("automorphism exponent must be coprime to the level")
-        ctx = _ctx(self.level)
-        phi = ctx.phi
-        out = [0] * phi
+        L = self.level
+        vec = [0] * L
         for i, c in enumerate(self.nums):
-            if c:
-                row = ctx.pow_table[s * i % self.level]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return CycNum(self.level, out, self.den)
+            vec[s * i % L] = c
+        return _fold(L, vec, self.den)
 
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta -> zeta^(-1)."""
         return self.galois(self.level - 1 if self.level > 1 else 1)
-
-    def lift(self, new_level: int) -> "CycNum":
-        """Reinterpret at a multiple of the current level."""
-        if new_level == self.level:
-            return self
-        if new_level % self.level != 0:
-            raise ValueError("new level must be a multiple of the current one")
-        step = new_level // self.level
-        ctx = _ctx(new_level)
-        out = [0] * ctx.phi
-        for i, c in enumerate(self.nums):
-            if c:
-                row = ctx.pow_table[i * step % new_level]
-                for j in range(ctx.phi):
-                    out[j] += c * row[j]
-        return CycNum(new_level, out, self.den)
 
     def embed(self, precision: int = 53):
         return embed_complex(self, precision)
@@ -384,51 +391,6 @@ class CycNum:
             else:
                 terms.append(f"{q}*z{self.level}^{i}")
         return "CycNum(" + (" + ".join(terms) if terms else "0") + ")"
-
-
-# ---- helper polynomial arithmetic over rationals (for inversion) --------
-
-
-def _poly_trim(p):
-    i = len(p)
-    while i > 1 and p[i - 1] == 0:
-        i -= 1
-    return p[:i]
-
-
-def _poly_divmod_q(a, b):
-    a = list(a)
-    b = _poly_trim(b)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(a) - 1 < db:
-        return [_QQ(0)], a
-    quo = [_QQ(0)] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = a[i + db]
-        if c:
-            q = c / lead
-            quo[i] = q
-            for j in range(db + 1):
-                a[i + j] -= q * b[j]
-    return quo, _poly_trim(a)
-
-
-def _poly_mul_q(a, b):
-    out = [_QQ(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_q(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_QQ(0)] * (n - len(a))
-    for i, bi in enumerate(b):
-        a[i] -= bi
-    return a
 
 
 # ---- complex embedding ---------------------------------------------------

@@ -369,6 +369,8 @@ def build_residue_table(
     warning; cache records are trusted only when their context (modulus and
     root image) matches the one built here.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     generators = tuple(generators)
     N, alpha = pclass.level, pclass.alpha
     table = ResidueTable(pclass, generators)
@@ -404,8 +406,9 @@ def build_residue_table(
                 todo.setdefault(p, []).append(key)
 
     work = [(N, alpha, p, twist, keys) for p, keys in sorted(todo.items())]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_column, work))
     else:
         results = [_compute_column(w) for w in work]

@@ -68,10 +68,9 @@ def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
     parameter (rational, 1/4 < delta < 1).  Raises ValueError on linearly
     dependent input.
     """
-    if isinstance(lattice, IntLattice):
-        rows = lattice.basis
-    else:
-        rows = tuple(tuple(v) for v in lattice)
+    if not isinstance(lattice, IntLattice):
+        lattice = IntLattice(tuple(tuple(v) for v in lattice))  # rejects ragged rows
+    rows = lattice.basis
     if isinstance(delta, float):
         delta = Fraction(delta).limit_denominator(10**9)
     delta = Fraction(delta)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, _ctx, _reduce_vector
+from .cyclotomic import CycNum, _cyc_mul, _fold, _normalize
 from .words import Index, nested_sum
 
 EXACT_LEVEL_LIMIT = 1200
@@ -59,68 +59,17 @@ def _tick(k: int = 1):
 # ---- exact engine: integer vectors mod x^L - 1 ------------------------------
 
 
-def _cyc_mul(L: int, va: list[int], vb: list[int]) -> list[int]:
-    """Cyclic convolution of two length-L integer vectors."""
-    _tick()
-    amax = max(abs(x) for x in va)
-    bmax = max(abs(x) for x in vb)
-    if amax == 0 or bmax == 0:
-        return [0] * L
-    bound = L * amax * bmax
-    db = (bound.bit_length() + 10) // 8 + 1  # bytes per digit, B/2 > bound
-    B = 1 << (8 * db)
-    half = B >> 1
-
-    def pack(vec, positive):
-        if positive:
-            chunks = [(x if x > 0 else 0).to_bytes(db, "little") for x in vec]
-        else:
-            chunks = [(-x if x < 0 else 0).to_bytes(db, "little") for x in vec]
-        return int.from_bytes(b"".join(chunks), "little")
-
-    A = pack(va, True) - pack(va, False)
-    Bb = pack(vb, True) - pack(vb, False)
-    n2 = 2 * L
-    offset = int.from_bytes(half.to_bytes(db, "little") * n2, "little")
-    D = A * Bb + offset
-    raw = D.to_bytes(n2 * db + db, "little")
-    out = [0] * L
-    for i in range(n2 - 1):
-        d = int.from_bytes(raw[i * db : (i + 1) * db], "little") - half
-        if d:
-            j = i if i < L else i - L
-            out[j] += d
-    return out
-
-
-def _vec_gcd(vec, den):
-    g = den
-    for x in vec:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
 class _CycElt:
     """vec/den with vec an integer vector mod x^L - 1."""
 
     __slots__ = ("L", "vec", "den")
 
     def __init__(self, L, vec, den=1):
-        if den < 0:
-            den = -den
-            vec = [-x for x in vec]
-        g = _vec_gcd(vec, den)
-        if g > 1:
-            vec = [x // g for x in vec]
-            den //= g
         self.L = L
-        self.vec = vec
-        self.den = den
+        self.vec, self.den = _normalize(vec, den)
 
     def __mul__(self, other: "_CycElt") -> "_CycElt":
+        _tick()
         return _CycElt(self.L, _cyc_mul(self.L, self.vec, other.vec), self.den * other.den)
 
     def __add__(self, other: "_CycElt") -> "_CycElt":
@@ -150,11 +99,6 @@ def _inv_one_minus_root(L: int, u: int) -> _CycElt:
     for j in range(M - 1):
         vec[(j * u) % L] += M - 1 - j
     return _CycElt(L, vec, M)
-
-
-def _to_cycnum(elt: _CycElt) -> CycNum:
-    folded = _reduce_vector(elt.vec, _ctx(elt.L))
-    return CycNum(elt.L, folded, elt.den)
 
 
 def qsum_exact(m: int, index: Index) -> CycNum:
@@ -192,7 +136,8 @@ def qsum_exact(m: int, index: Index) -> CycNum:
         terms = [t.rot(sn * e * n) for n, t in enumerate(powers[k - 1], 1)]
         return np.array(terms, dtype=object)
 
-    return _to_cycnum(nested_sum(r, column))
+    total = nested_sum(r, column)
+    return _fold(L, total.vec, total.den)
 
 
 # ---- numeric engine ----------------------------------------------------------

@@ -286,10 +286,6 @@ class LinComb:
         out.terms = {w: c * k for w, k in self.terms.items()}
         return out
 
-    def map_words(self, f) -> "LinComb":
-        """Apply a word->word map linearly."""
-        return LinComb([(f(w), c) for w, c in self.terms.items()])
-
     def __eq__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented

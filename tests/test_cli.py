@@ -154,6 +154,30 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli([], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("flag", ["--jobs", "--prec", "--N"])
+def test_out_of_range_bound_is_usage_error(flag, capsys):
+    argv = ["mtdim", "--N", "2", "--wmax", "2"]
+    code, out, err = run_cli(argv + [flag, "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_corrupt_cache_residue_is_computation_error(tmp_path, capsys):
+    argv = ["dim", "--N", "2", "--wmax", "3", "--cache-dir", str(tmp_path)]
+    assert run_cli(argv, capsys)[0] == 0
+    (path,) = tmp_path.glob("residues_*.jsonl")
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        if rec["index"] == "k=1,1,1;f=1,0,1" and rec["p"] == 53:
+            rec["residue"] = [(rec["residue"][0] + 1) % 53]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: exact relation failed at p=53")
+
+
 def test_bad_index_is_computation_error(capsys):
     code, _, err = run_cli(["sym", "--N", "1", "--index", "k=x;e=0"], capsys)
     assert code == 1

@@ -85,17 +85,6 @@ def test_galois_action():
     assert a.galois(2).galois(4) == a.galois(8 % 7)
 
 
-def test_lift_to_multiple_level():
-    w = CycNum.root_power(3, 1)
-    lifted = w.lift(12)
-    assert lifted == CycNum.root_power(12, 4)
-    with pytest.raises(ValueError):
-        w.lift(8)
-    # lifting preserves arithmetic
-    u = CycNum.one(3) + w
-    assert u.lift(12) == CycNum.one(12) + lifted
-
-
 def test_embed_primitive_sixth_root():
     w = CycNum.root_power(6, 1)
     z = embed_complex(w)
@@ -129,7 +118,7 @@ def cycnums(draw, level=None):
 
 @given(st.data())
 def test_field_axioms(data):
-    level = data.draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    level = data.draw(st.sampled_from([1, 3, 4, 5, 8, 12, 35]))
     a = data.draw(cycnums(level=level))
     b = data.draw(cycnums(level=level))
     c = data.draw(cycnums(level=level))
@@ -142,7 +131,7 @@ def test_field_axioms(data):
 
 @given(st.data())
 def test_multiplicative_inverse(data):
-    level = data.draw(st.sampled_from([3, 4, 5, 7, 8, 12]))
+    level = data.draw(st.sampled_from([3, 4, 5, 7, 8, 12, 35]))
     a = data.draw(cycnums(level=level))
     if a.is_zero:
         with pytest.raises(ZeroDivisionError):
@@ -176,16 +165,6 @@ def test_embed_conj_is_complex_conj(data):
     assert abs(embed_complex(a.conj()) - embed_complex(a).conjugate()) < 1e-9 * (
         1 + abs(embed_complex(a))
     )
-
-
-@given(st.data())
-def test_lift_is_injective_ring_map(data):
-    a = data.draw(cycnums(level=3))
-    b = data.draw(cycnums(level=3))
-    assert (a * b).lift(12) == a.lift(12) * b.lift(12)
-    assert (a + b).lift(12) == a.lift(12) + b.lift(12)
-    if a != b:
-        assert a.lift(12) != b.lift(12)
 
 
 def test_hash_consistency():

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmzv import finite
 from cmzv.finite import (
     CongruenceIndex,
     PrimeClass,
@@ -303,6 +304,39 @@ def test_residue_table_parallel_matches_serial(tmp_path):
     serial = build_residue_table(gens, pc, use_cache=False)
     parallel = build_residue_table(gens, pc, use_cache=False, jobs=2)
     assert serial.entries == parallel.entries
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(10**6, 8, [3]), (10**6, 2, [2]), (2, 8, [2]), (1, 8, []), (10**6, None, [])],
+)
+def test_residue_table_clamps_workers(monkeypatch, jobs, cpus, workers):
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(finite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(finite.os, "cpu_count", lambda: cpus)
+    gens = [Index((1,), (1,), 3)]
+    table = build_residue_table(gens, _small_class(), use_cache=False, jobs=jobs)
+    assert made == workers  # three primes, so never more than three workers
+    assert len(table.entries) == 3
+
+
+def test_residue_table_rejects_jobs_below_one():
+    with pytest.raises(ValueError):
+        build_residue_table([Index((1,), (1,), 3)], _small_class(), use_cache=False, jobs=0)
 
 
 def test_residue_table_int_column():

@@ -142,4 +142,7 @@ def test_lll_output_is_reduced_and_spans(rows, data):
 def test_int_lattice_validates():
     with pytest.raises(ValueError):
         IntLattice(((1, 2), (1,)))
+    for ragged in ([(3, 1), (1,)], [(1,), (3, 1)], [(1, 0, 0), (0, 1)]):
+        with pytest.raises(ValueError):
+            lll_reduce(ragged)
     assert IntLattice(((1, 2), (3, 4))).rank == 2

@@ -305,13 +305,6 @@ def test_lincomb_drops_zeros():
     assert LinComb({w: 2}).scale(0) == LinComb()
 
 
-def test_lincomb_map_words():
-    u = blockword(3, (1, 1), (2, 2))
-    lc = LinComb({u: 2})
-    rev = lc.map_words(lambda w: w.reversal())
-    assert rev == LinComb({u.reversal(): 2})
-
-
 def test_index_helpers():
     ix = Index((2, 1), (1, 2), 3)
     assert ix.reversed() == Index((1, 2), (2, 1), 3)

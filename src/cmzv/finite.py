@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fq import BadPrimeError, Fq, FqContext, inverse_table, is_prime, make_fq_context
-from .words import Index, format_index, nested_sum, parse_index
+from .words import Index, format_index, nested_sum
 
 
 @dataclass(frozen=True)
@@ -119,23 +119,53 @@ def parse_congruence_index(text: str, level: int) -> CongruenceIndex:
 # ---- per-prime residues ---------------------------------------------------------
 
 
-def _inverse_powers(p: int):
-    """k -> n^-k mod p for n = 1..p-1 as an int64 array, computed on first use.
+def _inverse_powers(p: int, kmax: int) -> np.ndarray:
+    """Row k - 1 holds n^-k mod p for n = 1..p-1 as int64, for k = 1..kmax.
 
     Products of two residues fit in int64 only for p < 2^31, the bound of
     nested_sum; it is checked here, before the inverse table is built.
     """
     if p >= 2**31:
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
-    inv = np.array(inverse_table(p)[1:], dtype=np.int64)
-    powers = [inv]
+    powers = np.empty((kmax, p - 1), dtype=np.int64)
+    powers[0] = inverse_table(p)[1:]
+    for k in range(1, kmax):
+        np.remainder(powers[k - 1] * powers[0], p, out=powers[k])
+    return powers
 
-    def power(k):
-        while len(powers) < k:
-            powers.append(powers[-1] * inv % p)
-        return powers[k - 1]
 
-    return power
+def _prime_field_residues(gens, p: int, ctx: FqContext | None = None) -> list[int]:
+    """The sums below p of generators of one level, as ints mod p, batched.
+
+    Slot j of a generator contributes row[c_j] * n^-k_j for n = 1..p-1: the
+    class mask n = f_j (mod N) of a CongruenceIndex, or the phase
+    zeta^(e_j n) in F_p of a colored Index (then ctx, of degree 1, is
+    needed).  The n^-k rows and the row table are built once; generators
+    of one depth share one int64 pass of nested_sum over (G, p-1) columns.
+    """
+    out = [0 if g.depth else 1 % p for g in gens]  # depth >= p leaves no term
+    by_depth = {}
+    for i, g in enumerate(gens):
+        if 0 < g.depth < p:
+            cs = g.fs if isinstance(g, CongruenceIndex) else tuple(g.level + e for e in g.es)
+            by_depth.setdefault(g.depth, []).append((i, g.ks, cs))
+    if not by_depth:
+        return out
+    N = gens[0].level
+    powers = _inverse_powers(p, max(max(g.ks) for g in gens if g.ks))
+    n = np.arange(1, p)
+    classes = np.arange(N)[:, None]
+    rows = (n % N == classes).astype(np.int64)  # row f: the mask n = f (mod N)
+    if ctx is not None and ctx.d == 1:
+        zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
+        rows = np.concatenate([rows, zp[classes * n % N]])  # row N + e: zeta^(e n)
+    for r, batch in by_depth.items():
+        at, ks, cs = zip(*batch)
+        ks, cs = np.array(ks) - 1, np.array(cs)  # (G, r) each
+        sums = nested_sum(r, lambda j: rows[cs[:, j]] * powers[ks[:, j]], p)
+        for i, v in zip(at, sums.tolist()):
+            out[i] = v
+    return out
 
 
 def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
@@ -149,40 +179,23 @@ def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
         return ctx.one()
     if r >= p:
         return ctx.zero()
-    power = _inverse_powers(p)
-    N = ix.level
     if ctx.d == 1:
-        # everything lives in F_p: int64 columns
-        n = np.arange(1, p, dtype=np.int64)
-        zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
-
-        def column(j):
-            return zp[ix.es[j] * n % N] * power(ix.ks[j]) % p
-
-        return ctx.scalar(int(nested_sum(r, column, p)))
+        return ctx.scalar(_prime_field_residues([ix], p, ctx)[0])
+    powers = _inverse_powers(p, max(ix.ks))
+    N = ix.level
     zp = [ctx.zeta_power(t) for t in range(N)]
 
     def fq_column(j):
-        e, powers = ix.es[j], power(ix.ks[j]).tolist()
-        return np.array([zp[e * n % N] * c for n, c in enumerate(powers, 1)], dtype=object)
+        e = ix.es[j]
+        row = powers[ix.ks[j] - 1].tolist()
+        return np.array([zp[e * n % N] * c for n, c in enumerate(row, 1)], dtype=object)
 
     return nested_sum(r, fq_column)
 
 
 def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
     """The congruence-model sum below p as a plain integer mod p."""
-    r = cix.depth
-    if r == 0:
-        return 1 % p
-    if r >= p:
-        return 0
-    power = _inverse_powers(p)
-    residues = np.arange(1, p) % cix.level
-
-    def column(j):
-        return np.where(residues == cix.fs[j], power(cix.ks[j]), 0)
-
-    return int(nested_sum(r, column, p))
+    return _prime_field_residues([cix], p)[0]
 
 
 def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
@@ -216,12 +229,6 @@ def _generator_key(gen) -> str:
     if isinstance(gen, CongruenceIndex):
         return format_congruence_index(gen)
     return format_index(gen)
-
-
-def _parse_generator(text: str, level: int):
-    if ";f=" in text:
-        return parse_congruence_index(text, level)
-    return parse_index(text, level)
 
 
 @dataclass
@@ -341,17 +348,19 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
 
 
 def _compute_column(args):
-    """All generator residues at one prime (worker-process entry point)."""
-    N, alpha, p, twist, gen_keys = args
+    """The residues of gens at one prime, in order (worker-process entry point).
+
+    Prime-field generators go through one batched pass; colored ones in a
+    proper extension field take the Fq path one at a time.
+    """
+    N, alpha, p, twist, gens = args
     ctx = make_fq_context(p, N, twist)
+    batch = [g for g in gens if ctx.d == 1 or isinstance(g, CongruenceIndex)]
+    values = dict(zip(batch, _prime_field_residues(batch, p, ctx)))
     out = []
-    for key in gen_keys:
-        gen = _parse_generator(key, N)
-        if isinstance(gen, CongruenceIndex):
-            val = congruence_residue(gen, p, ctx)
-        else:
-            val = finite_residue(gen, p, ctx)
-        out.append((key, list(val.coeffs)))
+    for gen in gens:
+        val = ctx.scalar(values[gen]) if gen in values else finite_residue(gen, p, ctx)
+        out.append(list(val.coeffs))
     return p, out
 
 
@@ -383,51 +392,48 @@ def build_residue_table(
             warnings.warn(f"skipping prime {p}: {exc}")
     table.contexts = contexts
 
+    keys = {g: _generator_key(g) for g in generators}
+    by_key = {key: g for g, key in keys.items()}
     cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
     records = _load_cache(cache_file) if use_cache else []
-    cached = {}
     for rec in records:
-        p = rec["p"]
+        p, gen = rec["p"], by_key.get(rec["index"])
         ctx = contexts.get(p)
-        if ctx is None:
+        if gen is None or ctx is None:
             continue
         if tuple(rec["modulus"]) != ctx.modulus or tuple(rec["zeta_image"]) != ctx.zeta_coeffs:
             continue
-        cached[(rec["index"], p)] = rec["residue"]
+        table.entries[(gen, p)] = Fq(ctx, rec["residue"])
 
-    todo = {}  # p -> list of generator keys
-    for gen in generators:
-        key = _generator_key(gen)
+    todo = {}  # p -> generators with no cached residue at p
+    for gen in keys:
         for p in contexts:
-            hit = cached.get((key, p))
-            if hit is not None:
-                table.entries[(gen, p)] = Fq(contexts[p], hit)
-            else:
-                todo.setdefault(p, []).append(key)
+            if (gen, p) not in table.entries:
+                todo.setdefault(p, []).append(gen)
 
-    work = [(N, alpha, p, twist, keys) for p, keys in sorted(todo.items())]
+    work = [(N, alpha, p, twist, gens) for p, gens in sorted(todo.items())]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_column, work))
     else:
-        results = [_compute_column(w) for w in work]
+        results = map(_compute_column, work)  # one prime's column alive at a time
 
     fresh = []
-    by_key = {_generator_key(g): g for g in generators}
     for p, col in results:
         ctx = contexts[p]
-        for key, coeffs in col:
-            table.entries[(by_key[key], p)] = Fq(ctx, coeffs)
+        modulus, zeta_image = list(ctx.modulus), list(ctx.zeta_coeffs)
+        for gen, coeffs in zip(todo[p], col):
+            table.entries[(gen, p)] = Fq(ctx, coeffs)
             fresh.append(
                 {
                     "v": 1,
                     "N": N,
                     "alpha": alpha,
                     "p": p,
-                    "modulus": list(ctx.modulus),
-                    "zeta_image": list(ctx.zeta_coeffs),
-                    "index": key,
+                    "modulus": modulus,
+                    "zeta_image": zeta_image,
+                    "index": keys[gen],
                     "residue": [c % p for c in coeffs],
                 }
             )

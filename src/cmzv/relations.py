@@ -410,14 +410,10 @@ def discover_relations_lll(
             f"table has {len(primes)} usable primes, need {train_n + verify_n}"
         )
     train, verify = primes[:train_n], primes[train_n : train_n + verify_n]
-    gens = [g for g in table.generators if g not in set(skip)]
-    columns = {
-        g: {p: table.residue(g, p).coeffs[0] for p in primes} for g in gens
-    }
-    for g in gens:
-        for p in primes:
-            if not table.residue(g, p).in_prime_field:
-                raise ValueError("LLL discovery needs prime-field residue columns")
+    skipped = set(skip)
+    gens = [g for g in table.generators if g not in skipped]
+    # int_column rejects entries outside the prime field
+    columns = {g: dict(zip(primes, table.int_column(g))) for g in gens}
     crt, M = _crt_columns(gens, columns, train)
     N = table.pclass.level
 
@@ -499,7 +495,8 @@ def dimension_table(
         config = DimConfig()
     if math.gcd(alpha, N) != 1:
         raise ValueError("alpha must be a unit modulo N")
-    reports = []
+    plan = []  # (weight, prime class, generators)
+    class_gens = {}  # prime class -> generators of every weight that uses it
     for weight in range(1, weight_max + 1):
         floor = config.prime_floor
         if floor is None:
@@ -508,7 +505,11 @@ def dimension_table(
             N, alpha, config.train_primes + config.verify_primes, floor=floor
         )
         gens = enumerate_generators(N, weight, "congruence")
-        table = build_residue_table(
+        plan.append((weight, pclass, gens))
+        class_gens.setdefault(pclass, []).extend(gens)
+    # one table (and one cache read and write) per prime class, for every weight
+    shared = {
+        pclass: build_residue_table(
             gens,
             pclass,
             use_cache=config.use_cache,
@@ -516,6 +517,12 @@ def dimension_table(
             jobs=config.jobs,
             twist=config.twist,
         )
+        for pclass, gens in class_gens.items()
+    }
+    reports = []
+    for weight, pclass, gens in plan:
+        whole = shared[pclass]
+        table = ResidueTable(pclass, tuple(gens), whole.entries, whole.contexts)
         want = config.train_primes + config.verify_primes
         under = len(table.primes) < want
         split = (config.train_primes, config.verify_primes)

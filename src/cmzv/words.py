@@ -141,17 +141,20 @@ class Index:
 
 
 def nested_sum(depth: int, column, p: int | None = None):
-    """Sum over stop >= n_1 > ... > n_r >= 1 of prod_j column(j)[n_j - 1].
+    """Sum over stop >= n_1 > ... > n_r >= 1 of prod_j column(j)[..., n_j - 1].
 
     The series of an Index, with the term and the ring left to the caller:
-    column(j) returns the terms of slot j for n = 1..stop as a fresh numpy
-    array, which the kernel may overwrite.  It is called once per slot,
-    innermost slot first, so no more than one column, one product and one
-    running prefix sum are alive at a time.  Any dtype with + and * will do:
-    complex128 or clongdouble, object arrays of exact or mpmath numbers, or
-    int64 with p given, reduced mod p after every product and every prefix
-    sum.  That is exact for p < 2^31: a product of two residues stays below
-    p^2 < 2^62, and a prefix sum of fewer than 2^32 residues below 2^63.
+    column(j) returns the terms of slot j for n = 1..stop along its last
+    axis as a fresh numpy array, which the kernel may overwrite.  A 1-D
+    column gives one sum, returned as the element itself; (G, stop) columns
+    give the G row sums as an array, one pass for a batch of one depth.
+    column(j) is called once per slot, innermost slot first, so no more
+    than one column, one product and one running prefix sum are alive at a
+    time.  Any dtype with + and * will do: complex128 or clongdouble,
+    object arrays of exact or mpmath numbers, or int64 with p given,
+    reduced mod p after every product and every prefix sum.  That is exact
+    for p < 2^31: a product of two residues stays below p^2 < 2^62, and a
+    prefix sum of fewer than 2^32 residues below 2^63.
 
     Needs 1 <= depth <= stop; callers return their own typed 1 or 0 outside.
     """
@@ -159,20 +162,21 @@ def nested_sum(depth: int, column, p: int | None = None):
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
     if depth < 1:
         raise ValueError("depth must be positive")
-    S = None  # S[i] = sum over slots j.. with n_j <= stop - len(S) + 1 + i
+    S = None  # S[..., i] = sum over slots j.. with n_j <= stop - S.shape[-1] + 1 + i
     for j in range(depth - 1, -1, -1):
         terms = column(j)
+        stop = terms.shape[-1]
         if S is not None:
             # slot j at n pairs with the inner prefix sum at n - 1
-            terms = terms[len(terms) - len(S) + 1 :] * S[:-1]
-        elif len(terms) < depth:
+            terms = terms[..., stop - S.shape[-1] + 1 :] * S[..., :-1]
+        elif stop < depth:
             raise ValueError("depth exceeds the number of terms")
         if p is not None:
             np.remainder(terms, p, out=terms)
-        S = np.cumsum(terms, out=terms)
+        S = np.cumsum(terms, axis=-1, out=terms)
         if p is not None:
             np.remainder(S, p, out=S)
-    return S[-1]
+    return S[-1] if S.ndim == 1 else S[..., -1]
 
 
 def index_to_word(ix: Index) -> Word:

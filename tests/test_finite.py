@@ -1,5 +1,6 @@
 """Finite (truncate-below-p) evaluation in residue fields, and the residue tables."""
 
+import itertools
 import json
 
 import pytest
@@ -37,6 +38,17 @@ def brute_finite(ix, p, ctx):
         return total
 
     return term(0, p)
+
+
+def brute_congruence(cix, p):
+    """Direct enumeration of the congruence-model sum below p, as an int mod p."""
+    total = 0
+    for ns in itertools.combinations(range(p - 1, 0, -1), cix.depth):
+        term = 1
+        for k, f, n in zip(cix.ks, cix.fs, ns):
+            term = term * (n % cix.level == f) * pow(n, -k, p) % p
+        total += term
+    return total % p
 
 
 # ---- prime sieving ----
@@ -223,6 +235,46 @@ def test_congruence_reversal_identity():
             rev = cix.reversed_class(alpha)
             rhs = (-1) ** cix.weight * congruence_residue_int(rev, p) % p
             assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_column_matches_enumeration(data):
+    # one per-prime call over mixed depths, exponents, classes and colors
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    N = data.draw(st.sampled_from([n for n in (1, 2, 3, 4) if n % p]))
+    ctx = make_fq_context(p, N)
+    gens = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        r = data.draw(st.integers(1, 5))  # deeper than p at p = 2, 3, 5
+        ks = tuple(data.draw(st.integers(1, 4)) for _ in range(r))
+        cs = tuple(data.draw(st.integers(0, N - 1)) for _ in range(r))
+        colored = data.draw(st.booleans())
+        gens.append(Index(ks, cs, N) if colored else CongruenceIndex(ks, cs, N))
+    q, column = finite._compute_column((N, p % N, p, 1, gens))
+    assert q == p and len(column) == len(gens)
+    for gen, coeffs in zip(gens, column):
+        if isinstance(gen, CongruenceIndex):
+            want = ctx.scalar(brute_congruence(gen, p))
+        else:
+            want = brute_finite(gen, p, ctx)  # d > 1 takes the Fq path
+        assert finite.Fq(ctx, coeffs) == want
+
+
+def test_residue_table_builds_one_inverse_table_per_prime(monkeypatch):
+    built = []
+    real_table = finite.inverse_table
+    monkeypatch.setattr(finite, "inverse_table", lambda p: built.append(p) or real_table(p))
+    gens = [
+        CongruenceIndex((1, 2), (0, 1), 3),
+        CongruenceIndex((3,), (2,), 3),
+        Index((1, 1), (1, 2), 3),
+    ]
+    table = build_residue_table(gens, _small_class(), use_cache=False)
+    assert sorted(built) == [7, 13, 19]
+    for p in (7, 13, 19):
+        assert table.residue(gens[0], p) == congruence_residue(gens[0], p)
+        assert table.residue(gens[2], p) == brute_finite(gens[2], p, table.contexts[p])
 
 
 def test_congruence_index_parsing_round_trip():

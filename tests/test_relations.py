@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+from cmzv import finite
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -316,6 +318,19 @@ def test_dimension_table_level_two():
 def test_dimension_table_level_three_small():
     reports = dimension_table(3, 1, 2, FAST)
     assert [r.dim_estimate for r in reports] == [1, 2]
+
+
+def test_dimension_table_reads_the_cache_once(tmp_path, monkeypatch):
+    # every weight of a call shares one prime class, so one read and one write
+    loads = []
+    real_load = finite._load_cache
+    monkeypatch.setattr(finite, "_load_cache", lambda path: loads.append(path) or real_load(path))
+    config = DimConfig(train_primes=8, verify_primes=4, prime_floor=50, cache_dir=str(tmp_path))
+    cold = dimension_table(2, 1, 3, config)
+    assert len(loads) == 1
+    warm = dimension_table(2, 1, 3, config)
+    assert len(loads) == 2
+    assert warm == cold == dimension_table(2, 1, 3, FAST)
 
 
 def test_dimension_table_twist_invariance():

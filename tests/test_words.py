@@ -374,3 +374,41 @@ def test_nested_sum_rejects_moduli_past_int64_range():
 
     with pytest.raises(ValueError):
         nested_sum(2, column, p=2**31)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_nested_sum_rows_match_one_dimensional_calls(depth, data):
+    stop = data.draw(st.integers(depth, 30))
+    rows = data.draw(st.integers(1, 4))
+    ring = data.draw(st.sampled_from(["int64", "fraction", "complex128"]))
+    p = None
+    if ring == "int64":
+        p = data.draw(st.sampled_from([2, 101, 2**31 - 1]))
+        entry = st.integers(0, p - 1)
+    elif ring == "fraction":
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    else:
+        entry = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    dtype = {"int64": np.int64, "fraction": object, "complex128": np.complex128}[ring]
+    shape = st.lists(entry, min_size=stop, max_size=stop)
+    block = np.array(
+        [[data.draw(shape) for _ in range(rows)] for _ in range(depth)], dtype=dtype
+    )  # block[j] is the (rows, stop) column of slot j
+    got = nested_sum(depth, lambda j: block[j].copy(), p)
+    assert got.shape == (rows,)
+    for g in range(rows):
+        assert got[g] == nested_sum(depth, lambda j: block[j, g].copy(), p)  # bit for bit
+
+
+def test_nested_sum_one_dimensional_object_column_returns_the_element():
+    from cmzv.fq import Fq, make_fq_context
+
+    column = [Fraction(1, n) for n in range(1, 6)]
+    got = nested_sum(2, lambda j: np.array(column, dtype=object))
+    assert type(got) is Fraction
+    assert got == brute_nested_sum([column] * 2, 5)
+    ctx = make_fq_context(7, 3)
+    got = nested_sum(2, lambda j: np.array([ctx.scalar(n) for n in range(1, 7)], dtype=object))
+    assert type(got) is Fq
+    assert got == ctx.scalar(brute_nested_sum([list(range(1, 7))] * 2, 6))

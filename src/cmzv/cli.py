@@ -195,64 +195,30 @@ def _cmd_dim(args, config: RunConfig, out: _Out) -> int:
         jobs=config.jobs,
     )
     reports = dimension_table(args.N, config.alpha, args.wmax, dconf)
+    header = ("weight", "generators", "exact_relation_rank", "lll_extra_relations", "dim",
+              "mt_dim", "under_determined")
+    rows = [(r.weight, r.generator_count, r.exact_relation_rank, r.lll_extra_relations,
+             r.dim_estimate, r.mt_dim, r.under_determined) for r in reports]
     if config.fmt == "json":
-        doc = []
-        for r in reports:
-            doc.append(
+        doc = [
+            dict(zip(header, row), N=r.N, alpha=r.alpha, b_cert=r.b_cert, relations=[
                 {
-                    "N": r.N,
-                    "alpha": r.alpha,
-                    "weight": r.weight,
-                    "generators": r.generator_count,
-                    "exact_relation_rank": r.exact_relation_rank,
-                    "lll_extra_relations": r.lll_extra_relations,
-                    "dim": r.dim_estimate,
-                    "mt_dim": r.mt_dim,
-                    "under_determined": r.under_determined,
-                    "relations": [
-                        {
-                            "source": cand.source,
-                            "verified_primes": cand.verified_primes,
-                            "coefficients": {
-                                format_congruence_index(g): str(c)
-                                for g, c in sorted(
-                                    cand.coefficients.items(),
-                                    key=lambda kv: (kv[0].ks, kv[0].fs),
-                                )
-                            },
-                        }
-                        for cand in r.relations
-                    ],
+                    "source": cand.source,
+                    "verified_primes": cand.verified_primes,
+                    "coefficients": {
+                        format_congruence_index(g): str(c)
+                        for g, c in sorted(
+                            cand.coefficients.items(), key=lambda kv: (kv[0].ks, kv[0].fs)
+                        )
+                    },
                 }
-            )
+                for cand in r.relations
+            ])
+            for r, row in zip(reports, rows)
+        ]
         out.write(_json_text(doc))
     else:
-        rows = [
-            (
-                r.weight,
-                r.generator_count,
-                r.exact_relation_rank,
-                r.lll_extra_relations,
-                r.dim_estimate,
-                r.mt_dim,
-                int(r.under_determined),
-            )
-            for r in reports
-        ]
-        out.write(
-            _csv_text(
-                (
-                    "weight",
-                    "generators",
-                    "exact_relation_rank",
-                    "lll_extra_relations",
-                    "dim",
-                    "mt_dim",
-                    "under_determined",
-                ),
-                rows,
-            )
-        )
+        out.write(_csv_text(header, [row[:-1] + (int(row[-1]),) for row in rows]))
     return 0
 
 

@@ -7,6 +7,8 @@ the raw material for relation discovery, so they cache to disk.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 import os
@@ -207,8 +209,6 @@ def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = Non
 
 def congruence_from_colored(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
     """The N^r-term average of colored residues; cross-checks the direct sum."""
-    import itertools
-
     if ctx is None:
         ctx = make_fq_context(p, cix.level)
     N, r = cix.level, cix.depth
@@ -292,9 +292,9 @@ def _record_key(rec: dict) -> tuple:
     return (rec["p"], rec["index"], tuple(rec["modulus"]), tuple(rec["zeta_image"]))
 
 
-def _load_cache(path: str) -> list[dict]:
-    """The well-formed records of one cache file; anything else is skipped."""
-    records = []
+def _load_cache(path: str):
+    """The well-formed records of one cache file, read line by line; anything
+    else is skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -306,18 +306,39 @@ def _load_cache(path: str) -> list[dict]:
                 except json.JSONDecodeError:
                     continue
                 if _valid_record(rec):
-                    records.append(rec)
+                    yield rec
     except FileNotFoundError:
         pass
     except OSError as exc:
         warnings.warn(f"residue cache unreadable ({exc}); recomputing")
-    return records
 
 
-def _store_cache(path: str, records: list[dict]) -> None:
+def _table_records(table: "ResidueTable"):
+    """A cache record per entry of the table, sorted by (p, index), made lazily."""
+    gens = table.generators
+    keyed = sorted((_generator_key(g), i) for i, g in enumerate(gens))
+    for p, ctx in sorted(table.contexts.items()):
+        head = {"v": 1, "N": table.pclass.level, "alpha": table.pclass.alpha, "p": p,
+                "modulus": list(ctx.modulus), "zeta_image": list(ctx.zeta_coeffs)}
+        for key, i in keyed:
+            if (gens[i], p) in table.entries:
+                residue = [c % p for c in table.entries[(gens[i], p)].coeffs]
+                yield dict(head, index=key, residue=residue)
+
+
+def _store_cache(path: str, records: list[dict], table=None, after=()) -> None:
+    """Write records, a record per entry of table, then after, sorted by (p, index).
+
+    Records with equal (p, index) keep that order.
+    """
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        ordered = sorted(records, key=lambda r: (r["p"], r["index"]))
+        order = lambda r: (r["p"], r["index"])  # noqa: E731
+        ordered = sorted(records, key=order)
+        if table is not None:
+            ordered = heapq.merge(
+                ordered, _table_records(table), sorted(after, key=order), key=order
+            )
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for rec in ordered:
@@ -342,7 +363,7 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
     for (N, alpha), recs in by_class.items():
         path = _cache_path(root, N, alpha)
         merged = {}
-        for rec in _load_cache(path) + recs:
+        for rec in itertools.chain(_load_cache(path), recs):
             merged.setdefault(_record_key(rec), rec)
         _store_cache(path, list(merged.values()))
 
@@ -392,21 +413,25 @@ def build_residue_table(
             warnings.warn(f"skipping prime {p}: {exc}")
     table.contexts = contexts
 
-    keys = {g: _generator_key(g) for g in generators}
-    by_key = {key: g for g, key in keys.items()}
+    by_key = {_generator_key(g): g for g in generators}
     cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
-    records = _load_cache(cache_file) if use_cache else []
-    for rec in records:
+    # The records this table does not consume are written back as read: those
+    # after a consumed one of equal (p, index) after its entry, the rest before.
+    kept = ([], [])
+    last = None  # (p, index) of the last record consumed
+    for rec in _load_cache(cache_file) if use_cache else ():
         p, gen = rec["p"], by_key.get(rec["index"])
         ctx = contexts.get(p)
-        if gen is None or ctx is None:
-            continue
-        if tuple(rec["modulus"]) != ctx.modulus or tuple(rec["zeta_image"]) != ctx.zeta_coeffs:
-            continue
-        table.entries[(gen, p)] = Fq(ctx, rec["residue"])
+        if gen is None or ctx is None or (gen, p) in table.entries or (
+            (tuple(rec["modulus"]), tuple(rec["zeta_image"])) != (ctx.modulus, ctx.zeta_coeffs)
+        ):
+            kept[(p, rec["index"]) == last].append(rec)
+        else:
+            table.entries[(gen, p)] = Fq(ctx, rec["residue"])
+            last = (p, rec["index"])
 
     todo = {}  # p -> generators with no cached residue at p
-    for gen in keys:
+    for gen in generators:
         for p in contexts:
             if (gen, p) not in table.entries:
                 todo.setdefault(p, []).append(gen)
@@ -419,27 +444,11 @@ def build_residue_table(
     else:
         results = map(_compute_column, work)  # one prime's column alive at a time
 
-    fresh = []
     for p, col in results:
         ctx = contexts[p]
-        modulus, zeta_image = list(ctx.modulus), list(ctx.zeta_coeffs)
         for gen, coeffs in zip(todo[p], col):
             table.entries[(gen, p)] = Fq(ctx, coeffs)
-            fresh.append(
-                {
-                    "v": 1,
-                    "N": N,
-                    "alpha": alpha,
-                    "p": p,
-                    "modulus": modulus,
-                    "zeta_image": zeta_image,
-                    "index": keys[gen],
-                    "residue": [c % p for c in coeffs],
-                }
-            )
 
-    if use_cache and fresh:
-        seen = {_record_key(r) for r in fresh}
-        keep = [r for r in records if _record_key(r) not in seen]
-        _store_cache(cache_file, keep + fresh)
+    if use_cache and todo:
+        _store_cache(cache_file, kept[0], table, kept[1])
     return table

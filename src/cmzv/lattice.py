@@ -1,8 +1,11 @@
-"""Integer lattice reduction and rational reconstruction.
+"""Integer lattice reduction, rational reconstruction and exact echelon forms.
 
-The LLL routine keeps all Gram-Schmidt data in exact integer form (the
-classical d_i / lambda_ij bookkeeping), so no floating point enters the
-reduction and results are deterministic.
+lll_reduce keeps the basis exact, as int64 rows, and takes its decisions from
+float64 Gram-Schmidt data recomputed from those rows (Schnorr-Euchner).  The
+decisions are conservative: a row counts as size-reduced at |mu| <= 1/2, and
+as Lovasz reduced only with a margin of 2^-20 over delta, which covers the
+rounding of the float data, so a reduced verdict holds in exact arithmetic
+too (up to rounding at an exact tie |mu| = 1/2).
 """
 
 from __future__ import annotations
@@ -10,6 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+from .fq import is_prime
 
 
 def rational_reconstruct(r: int, modulus: int, bound: int) -> Fraction | None:
@@ -57,83 +64,177 @@ class IntLattice:
         return len(self.basis)
 
 
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+class GSOBasis:
+    """Exact int64 rows, with float64 Gram-Schmidt data valid below row `fresh`.
+
+    lll_reduce reduces one in place from row `fresh` on; code that edits rows
+    lowers `fresh` to the first row it touched.
+    """
+
+    def __init__(self, rows, fresh=0):
+        self.rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        self.star = self.rows.astype(np.float64)  # the vectors b*_i
+        self.mu = np.zeros((len(rows), len(rows)))
+        self.norm2 = np.einsum("ij,ij->i", self.star, self.star)  # |b*_i|^2
+        self.fresh = fresh
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n rows; their Gram-Schmidt data stays valid."""
+        self.rows, self.star, self.mu = self.rows[:n], self.star[:n], self.mu[:n, :n]
+        self.norm2, self.fresh = self.norm2[:n], min(self.fresh, n)
+
+
+def _visit(basis: GSOBasis, k: int, lo: int = 0) -> None:
+    """Size-reduce row k against rows lo.. (and k-1) and set its GSO data.
+
+    Multipliers are rounded from the last row down, each correcting the
+    earlier coefficients through mu.  After a large one the coefficients are
+    recomputed from the exact row; the rows below lo join in once skipping
+    them would cost precision (the row cancels more than 2^15 of its length).
+    Two Gram-Schmidt passes (CGS2) keep b*_k orthogonal.
+    """
+    b, star, mu, norm2 = basis.rows, basis.star[:k], basis.mu, basis.norm2[:k]
+    v = b[k].astype(np.float64)
+    coef = np.einsum("ij,j->i", star, v) / norm2
+    low = max(0, min(lo, k - 1))
+    for last in range(15, -1, -1):
+        at, take, l = [], [], k
+        while (big := (np.abs(coef[low:l]) > 0.5).nonzero()[0]).size:
+            l = low + int(big[-1])
+            at.append(l)
+            take.append(np.rint(coef[l]))
+            coef[:l] -= take[-1] * mu[l, :l]
+            coef[l] -= take[-1]
+        if at:
+            b[k] -= np.array(take, dtype=np.int64) @ b[at]
+            v = b[k].astype(np.float64)
+            if last and max(map(abs, take)) >= 2**16:
+                coef = np.einsum("ij,j->i", star, v) / norm2
+                continue
+        w = v - np.einsum("i,ij->j", coef, star)
+        if not (last and low and np.einsum("i,i->", w, w) * 2**30 < np.einsum("i,i->", v, v)):
+            break
+        low = 0
+    fix = np.einsum("ij,j->i", star, w) / norm2
+    w -= np.einsum("i,ij->j", fix, star)
+    basis.star[k], mu[k, :k] = w, coef + fix
+    basis.norm2[k] = nk = float(np.einsum("i,i->", w, w))
+    # independent integer rows have an integer Gram determinant >= 1
+    if nk < 1 and (nk == 0 or math.log(nk) + float(np.log(norm2).sum()) < -0.7):
+        raise ValueError("basis vectors are linearly dependent")
 
 
 def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
     """LLL-reduce a basis of linearly independent integer vectors.
 
-    Accepts an IntLattice or a plain list of rows.  delta is the Lovasz
-    parameter (rational, 1/4 < delta < 1).  Raises ValueError on linearly
-    dependent input.
+    Accepts an IntLattice or a plain list of rows and returns an IntLattice;
+    a GSOBasis is reduced in place, from its row `fresh` on, and returned.
+    Entries must fit in int64 (OverflowError otherwise).  delta is the
+    Lovasz parameter (rational, 1/4 < delta < 1).  Raises ValueError on
+    linearly dependent input.
     """
-    if not isinstance(lattice, IntLattice):
-        lattice = IntLattice(tuple(tuple(v) for v in lattice))  # rejects ragged rows
-    rows = lattice.basis
     if isinstance(delta, float):
         delta = Fraction(delta).limit_denominator(10**9)
     delta = Fraction(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise ValueError("delta must lie in (1/4, 1)")
-    n = len(rows)
-    if n == 0:
-        return IntLattice(())
-    nd, dd = delta.numerator, delta.denominator
+    basis = lattice
+    if not isinstance(lattice, GSOBasis):
+        if not isinstance(lattice, IntLattice):
+            lattice = IntLattice(tuple(tuple(v) for v in lattice))  # rejects ragged rows
+        if not lattice.basis:
+            return IntLattice(())
+        basis = GSOBasis(lattice.basis)
+    swap_below = min(float(delta) + 2.0**-20, (1 + float(delta)) / 2)  # the safety margin
+    b, star, mu, norm2 = basis.rows, basis.star, basis.mu, basis.norm2
+    # Rows below lo are untouched so far; the others are size-reduced against
+    # rows lo.. (and their neighbour), then against all in a last pass that
+    # recomputes their data from the exact rows.  A swap moves row k down
+    # with its data updated in closed form, so it needs no visit there.
+    k = lo = basis.fresh
+    moved = False
+    while k < len(b):
+        if not moved:
+            _visit(basis, k, lo)
+        if k and norm2[k] < (swap_below - mu[k, k - 1] ** 2) * norm2[k - 1]:
+            star[k - 1] = star[k] + mu[k, k - 1] * star[k - 1]
+            mu[k - 1, : k - 1] = mu[k, : k - 1]
+            norm2[k - 1] = np.einsum("i,i->", star[k - 1], star[k - 1])
+            b[[k - 1, k]] = b[[k, k - 1]]
+            k -= 1
+            lo, moved = min(lo, k), True
+        else:
+            k, moved = k + 1, False
+    for k in range(lo, len(b)):
+        _visit(basis, k)
+    basis.fresh = len(b)
+    return basis if basis is lattice else IntLattice(tuple(map(tuple, b.tolist())))
 
-    b = [list(v) for v in rows]
-    D = [0] * (n + 1)
-    D[0] = 1
-    lam = [[0] * n for _ in range(n)]
 
-    def gram_row(k):
-        for j in range(k + 1):
-            u = _dot(b[k], b[j])
-            for i in range(j):
-                u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                if u == 0:
-                    raise ValueError("basis vectors are linearly dependent")
-                D[k + 1] = u
+def _rref_mod(R, q):
+    """Pivots (latest first) and reduced rows of R mod q, pivots on the latest
+    columns; None when R loses rank mod q."""
+    A, pivots = R % q, []
+    for col in range(R.shape[1] - 1, -1, -1):
+        i = len(pivots)
+        nz = np.flatnonzero(A[i:, col])
+        if nz.size:
+            A[[i, i + nz[0]]] = A[[i + nz[0], i]]
+            A[i] = A[i] * pow(int(A[i, col]), -1, q) % q
+            f = A[:, col].copy()
+            f[i] = 0
+            A = (A - f[:, None] * A[i]) % q
+            pivots.append(col)
+    return (pivots, A) if len(pivots) == len(R) else None
 
-    def red(k, l):
-        if 2 * abs(lam[k][l]) > D[l + 1]:
-            q = (2 * lam[k][l] + D[l + 1]) // (2 * D[l + 1])
-            if q:
-                bk, bl = b[k], b[l]
-                for idx in range(len(bk)):
-                    bk[idx] -= q * bl[idx]
-                for i in range(l):
-                    lam[k][i] -= q * lam[l][i]
-                lam[k][l] -= q * D[l + 1]
 
-    gram_row(0)
-    kmax = 0
-    k = 1
-    while k < n:
-        if k > kmax:
-            kmax = k
-            gram_row(k)
-        while True:
-            red(k, k - 1)
-            if dd * (D[k + 1] * D[k - 1] + lam[k][k - 1] ** 2) < nd * D[k] * D[k]:
-                # swap b[k] and b[k-1], updating the integer GS data
-                b[k], b[k - 1] = b[k - 1], b[k]
-                for j in range(k - 1):
-                    lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-                lam0 = lam[k][k - 1]
-                Bnew = (D[k - 1] * D[k + 1] + lam0 * lam0) // D[k]
-                for i in range(k + 1, kmax + 1):
-                    t = lam[i][k]
-                    lam[i][k] = (D[k + 1] * lam[i][k - 1] - lam0 * t) // D[k]
-                    lam[i][k - 1] = (Bnew * t + lam0 * lam[i][k]) // D[k + 1]
-                D[k] = Bnew
-                k = max(1, k - 1)
-            else:
-                for l in range(k - 2, -1, -1):
-                    red(k, l)
-                k += 1
-                break
-    return IntLattice(tuple(tuple(v) for v in b))
+def echelon_basis(R) -> list[list[int]]:
+    """The reduced echelon basis over Q of the row span of R, pivots on the
+    latest columns, as primitive integer rows with a negative pivot.
+
+    The form is computed by int64 elimination mod 31-bit primes and lifted by
+    CRT and rational reconstruction until it spans exactly the rows of R.
+    """
+    best, M, q = None, 1, 2**31 + 1
+    while len(R):
+        q -= 2
+        got = _rref_mod(R, q) if is_prime(q) else None
+        if got is None or (best and got[0] < best):  # rank lost mod q moves pivots earlier
+            continue
+        pivots, A = got
+        free = sorted(set(range(R.shape[1])) - set(pivots))
+        if pivots != best:
+            best, vals, M = pivots, A[:, free].tolist(), q
+        else:
+            t = pow(M, -1, q)
+            new = A[:, free].tolist()
+            vals = [[v + M * ((e - v) * t % q) for v, e in zip(a, b)] for a, b in zip(vals, new)]
+            M *= q
+        bound = math.isqrt((M - 1) // 2)
+        fracs = [[rational_reconstruct(v, M, bound) for v in row] for row in vals]
+        if any(None in row for row in fracs):
+            continue
+        rows = []  # each row has its pivot last, its other entries over that pivot
+        for piv, row in zip(pivots, fracs):
+            den = math.lcm(*(x.denominator for x in row))
+            rows.append([0] * piv + [den])
+            for h, x in zip(free, row):
+                if h < piv:
+                    rows[-1][h] = int(x * den)
+        # exactly: R[:, h] = sum_k R[:, pivot_k] rows[k][h] / rows[k][-1] at each free h
+        L = math.lcm(*(row[-1] for row in rows))
+        Y = [[(row[h] if h < len(row) else 0) * (L // row[-1]) for h in free] for row in rows]
+        top = max((abs(y) for row in Y for y in row), default=0)
+        kind = np.int64 if int(np.abs(R).max()) * (len(R) * top + L) < 2**62 else object
+        Y = np.array(Y, dtype=kind).reshape(len(rows), len(free))
+        if not (R[:, pivots].astype(kind) @ Y - R[:, free].astype(kind) * L).any():
+            return [_normalize(row) for row in sorted(rows, key=len)]
+    return []
+
+
+def _normalize(coeffs):
+    g = math.gcd(*coeffs) * (1 if coeffs[-1] < 0 else -1)  # new generator = combination
+    return [c // g for c in coeffs]

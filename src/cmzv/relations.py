@@ -1,16 +1,16 @@
-"""Relation families, LLL discovery over residue tables, dimension estimates.
+"""Relation families, lattice relation discovery over residue tables, dimensions.
 
 The dimension pipeline works in the congruence model (values are prime-field
 integers), combining two sources of relations:
 
 * exact families proved per prime (reversal under m -> p - m), eliminated
   symbolically over Q, and
-* integer relations found by LLL against CRT-combined residue columns,
-  accepted only when they hold exactly at every training AND held-out
-  verification prime.
+* integer relations among the remaining generators, from one lattice per
+  weight fed the residues at the training primes, accepted only when they
+  hold exactly at every held-out prime too, and certified up to a height.
 
-Each discovered relation eliminates one designated generator, so relation
-counts and dimension estimates are bookkept without a global rank pass.
+Discovered relations come in reduced echelon form, each eliminating one
+designated generator, so relation counts and dimensions add up directly.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclotomic import CycNum, euler_phi
 from .fq import FqContext, make_fq_context, to_residue_field
 from .finite import (
@@ -27,11 +29,10 @@ from .finite import (
     PrimeClass,
     ResidueTable,
     build_residue_table,
-    congruence_residue_int,
     finite_residue,
     primes_in_class,
 )
-from .lattice import lll_reduce
+from .lattice import GSOBasis, echelon_basis, lll_reduce
 from .words import (
     E_ZERO,
     Index,
@@ -333,75 +334,68 @@ class RelationCandidate:
             raise ValueError(f"unknown source {self.source!r}")
 
 
-def _crt_columns(gens, columns, train):
-    """Combine per-prime residues into one integer per generator, mod prod(train)."""
-    M = 1
-    for p in train:
-        M *= p
-    combined = {}
-    for g in gens:
-        acc = 0
-        for p in train:
-            q = M // p
-            acc += columns[g][p] * q * pow(q, -1, p)
-        combined[g] = acc % M
-    return combined, M
+class Discovery(list):
+    """The relations of one relation lattice, with its b_cert and the number
+    of kept vectors that failed a held-out prime (see discover_relations_lll)."""
+
+    def __init__(self, relations=(), b_cert=None, held_out_failures=0):
+        super().__init__(relations)
+        self.b_cert, self.held_out_failures = b_cert, held_out_failures
 
 
-def _dependency_query(new, basis, crt, M, height_bound, delta):
-    """Shortest integer combination of basis + new vanishing mod M, or None."""
-    members = list(basis) + [new]
-    n = len(members)
-    K = 1 << ((n + 1) // 2 + (8 * height_bound * (n + 1)).bit_length())
-    rows = []
-    for i, g in enumerate(members):
-        row = [0] * n + [K * crt[g]]
-        row[i] = 1
-        rows.append(row)
-    rows.append([0] * n + [K * M])
-    reduced = lll_reduce(rows, delta=delta)
-    hits = []
-    for vec in reduced.basis:
-        coeffs, last = vec[:n], vec[n]
-        if last != 0 or not any(coeffs) or coeffs[-1] == 0:
-            continue
-        if max(abs(c) for c in coeffs) > height_bound:
-            continue
-        hits.append(list(coeffs))
-    hits.sort(key=lambda c: sum(x * x for x in c))
-    return members, hits
+def _dot_mod(rows, column, p):
+    """rows . column mod p, exactly (in Python ints where int64 could overflow)."""
+    kind = np.int64 if len(column) * p * p < 2**63 else object
+    return ((rows % p).astype(kind) @ column.astype(kind) % p).astype(np.int64)
 
 
-def _verify_candidate(members, coeffs, columns, primes) -> bool:
-    for p in primes:
-        total = sum(c * columns[g][p] for g, c in zip(members, coeffs)) % p
-        if total:
-            return False
-    return True
+def _feed(basis: GSOBasis, group, delta) -> None:
+    """Keep the lattice vectors v with v.r = 0 mod p for each (p, r) in group.
 
-
-def _normalize(coeffs):
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    coeffs = [c // g for c in coeffs]
-    if coeffs[-1] > 0:  # write the relation as: new generator = combination
-        coeffs = [-c for c in coeffs]
-    return coeffs
+    With P the product of the primes and s = b.r mod P, the last row j with
+    s_j a unit mod P is the pivot: b_i -= c_i b_j with c_i = s_i/s_j mod P,
+    centred, and b_j *= P span the index-P sublattice, which is reduced
+    again from the first row that changed.  With no such row the primes go
+    in one at a time.
+    """
+    b = basis.rows
+    s = [_dot_mod(b, r, p) for p, r in group]
+    units = np.flatnonzero(np.logical_and.reduce([x != 0 for x in s]))
+    if not units.size:
+        for one in group if len(group) > 1 else ():
+            _feed(basis, [one], delta)
+        return
+    P, j = math.prod(p for p, _ in group), units[-1]
+    if int(np.abs(b).max()) * P >= 2**53:
+        raise ArithmeticError("relation lattice entries outgrew float64; lower height_bound")
+    crt = sum(x * ((P // p) * pow(P // p, -1, p)) % P for (p, _), x in zip(group, s)) % P
+    c = crt * pow(int(crt[j]), -1, P) % P
+    c[c > P // 2] -= P
+    c[j] = 0
+    b -= c[:, None] * b[j]
+    b[j] *= P
+    basis.fresh = min(basis.fresh, j, *np.flatnonzero(c)[:1])
+    lll_reduce(basis, delta)
 
 
 def discover_relations_lll(
     table: ResidueTable,
     height_bound: int = 1000,
     prime_split: tuple[int, int] = (24, 12),
-    delta: Fraction = Fraction(99, 100),
+    delta: Fraction = Fraction(3, 4),
     skip=(),
-) -> list[RelationCandidate]:
-    """Greedy per-generator dependency discovery with held-out verification.
+) -> Discovery:
+    """Relations among the generators not in `skip`, from one relation lattice.
 
-    Generators in `skip` are assumed already eliminated (by exact families)
-    and take no part.  Each returned candidate writes one new generator as a
-    rational combination of the independent ones found before it.
+    The lattice starts as Z^G on those G generators and takes in the
+    training primes (see _feed).  After each group, trailing vectors with
+    |b*| > height_bound * sqrt(G) are dropped: every lattice vector of norm
+    up to that lies in the span of the others.  The kept vectors that vanish
+    at every held-out prime are the relations, returned in reduced echelon
+    form with pivots on the latest generators, so each writes one generator
+    through earlier ones.  b_cert is the least |b*| / sqrt(G), rounded down,
+    of the other vectors, dropped ones included: no relation with
+    coefficients up to b_cert lies outside the span found.
     """
     train_n, verify_n = prime_split
     primes = table.primes
@@ -409,38 +403,43 @@ def discover_relations_lll(
         raise ValueError(
             f"table has {len(primes)} usable primes, need {train_n + verify_n}"
         )
-    train, verify = primes[:train_n], primes[train_n : train_n + verify_n]
     skipped = set(skip)
     gens = [g for g in table.generators if g not in skipped]
+    if not gens:
+        return Discovery()
     # int_column rejects entries outside the prime field
-    columns = {g: dict(zip(primes, table.int_column(g))) for g in gens}
-    crt, M = _crt_columns(gens, columns, train)
+    columns = dict(zip(primes, np.array([table.int_column(g) for g in gens]).T))
+    G = len(gens)
+    basis = GSOBasis(np.eye(G), fresh=G)  # Z^G, already orthogonal
+    shortest = math.inf  # least |b*|^2 of a dropped vector
+    # CRT moduli below 2^31 keep the int64 products in _feed exact
+    size = next((s for s in (3, 2, 1) if max(primes[:train_n], default=0) ** s < 2**31), 0)
+    if not size:
+        raise ValueError("training primes must be below 2^31")
+    for i in range(0, train_n, size):
+        if len(basis):
+            _feed(basis, [(p, columns[p]) for p in primes[i : min(i + size, train_n)]], delta)
+        keep = len(basis)
+        while keep and basis.norm2[keep - 1] > height_bound**2 * G:
+            keep -= 1
+        shortest = min([shortest, *basis.norm2[keep:]])
+        basis.truncate(keep)
+    holds = np.ones(len(basis), dtype=bool)
+    for p in primes[train_n : train_n + verify_n]:
+        holds &= _dot_mod(basis.rows, columns[p], p) == 0
+    lead = len(basis) if holds.all() else int(np.argmin(holds))  # relations before it
+    shortest = min([shortest, *basis.norm2[lead:]])
     N = table.pclass.level
-
-    basis: list = []
-    found: list[RelationCandidate] = []
-    for g in gens:
-        members, hits = _dependency_query(g, basis, crt, M, height_bound, delta)
-        accepted = None
-        for coeffs in hits:
-            if _verify_candidate(members, coeffs, columns, list(train) + list(verify)):
-                accepted = _normalize(coeffs)
-                break
-        if accepted is None:
-            basis.append(g)
-            continue
-        found.append(
-            RelationCandidate(
-                {
-                    m: CycNum.rational(N, c)
-                    for m, c in zip(members, accepted)
-                    if c
-                },
-                "lll_discovered",
-                len(train) + len(verify),
-            )
+    found = [
+        RelationCandidate(
+            {gens[h]: CycNum.rational(N, c) for h, c in enumerate(coeffs) if c},
+            "lll_discovered",
+            train_n + verify_n,
         )
-    return found
+        for coeffs in echelon_basis(basis.rows[holds])
+    ]
+    b_cert = None if shortest == math.inf else math.floor(math.sqrt(shortest / G))
+    return Discovery(found, b_cert, int((~holds).sum()))
 
 
 # ---- dimension tables ------------------------------------------------------------------
@@ -452,7 +451,7 @@ class DimConfig:
     verify_primes: int = 12
     prime_floor: int | None = None  # default: max(weight + 2, 50)
     height_bound: int = 1000
-    delta: Fraction = Fraction(99, 100)
+    delta: Fraction = Fraction(3, 4)  # Lovasz parameter of the relation lattice
     twist: int = 1
     use_cache: bool = True
     cache_dir: str | None = None
@@ -471,17 +470,30 @@ class DimensionReport:
     mt_dim: int
     under_determined: bool
     relations: tuple
+    b_cert: int | None = None  # see Discovery
 
     def __post_init__(self):
         if not 0 <= self.dim_estimate <= self.generator_count:
             raise ValueError("dimension estimate out of range")
 
 
-def _exact_pivots_congruence(N, weight, alpha, generators):
-    order = {g: i for i, g in enumerate(generators)}
-    rows = reversal_relations_congruence(N, weight, alpha)
-    pivots = _echelon(rows, order, Fraction(0), lambda c: 1 / Fraction(c))
-    return pivots
+def _check_exact_rows(rows, gens, table) -> None:
+    """Raise AssertionError unless every proven row vanishes at every prime.
+
+    One int64 product of the rows, scaled to integers, with the residue
+    matrix of the weight; the message names the first failing row and prime.
+    """
+    col = {g: i for i, g in enumerate(gens)}
+    A = np.zeros((len(rows), len(gens)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        den = math.lcm(*(Fraction(c).denominator for c in row.values()))
+        for g, c in row.items():
+            A[i, col[g]] = int(c * den)
+    primes = np.array(table.primes, dtype=np.int64)
+    bad = A @ np.array([table.int_column(g) for g in gens]).reshape(len(gens), -1) % primes != 0
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        raise AssertionError(f"exact relation failed at p={primes[np.argmax(bad[i])]}: {rows[i]}")
 
 
 def dimension_table(
@@ -532,45 +544,38 @@ def dimension_table(
             verify_n = min(config.verify_primes, avail // 3)
             split = (avail - verify_n, verify_n)
 
-        pivots = _exact_pivots_congruence(N, weight, alpha, gens)
-        exact_candidates = []
-        for lead, row in sorted(pivots.items(), key=lambda kv: gens.index(kv[0])):
-            # the family is proven per prime; fail loudly if a prime disagrees
-            for p in table.primes:
-                total = sum(
-                    _fraction_mod(c, p) * table.residue(g, p).coeffs[0] for g, c in row.items()
-                ) % p
-                if total:
-                    raise AssertionError(f"exact relation failed at p={p}: {row}")
-            exact_candidates.append(
-                RelationCandidate(
-                    {g: CycNum.rational(N, c) for g, c in row.items()},
-                    "reversal",
-                    len(table.primes),
-                )
-            )
-
-        discovered = discover_relations_lll(
-            table,
-            height_bound=config.height_bound,
-            prime_split=split,
-            delta=config.delta,
-            skip=tuple(pivots),
+        index = {g: i for i, g in enumerate(gens)}
+        rows = reversal_relations_congruence(N, weight, alpha)
+        pivots = _echelon(rows, index, Fraction(0), lambda c: 1 / Fraction(c))
+        rows = [row for _, row in sorted(pivots.items(), key=lambda kv: index[kv[0]])]
+        _check_exact_rows(rows, gens, table)  # the family is proven; fail loudly
+        found = discover_relations_lll(
+            table, config.height_bound, split, config.delta, skip=pivots
         )
-        exact_rank = len(pivots)
-        extra = len(discovered)
+        b_cert = found.b_cert
+        uncertified = b_cert is not None and b_cert < config.height_bound
+        under = under or found.held_out_failures > 0 or uncertified
         reports.append(
             DimensionReport(
                 N,
                 alpha,
                 weight,
                 len(gens),
-                exact_rank,
-                extra,
-                len(gens) - exact_rank - extra,
+                len(rows),
+                len(found),
+                len(gens) - len(rows) - len(found),
                 mt_dimension(N, weight),
                 under,
-                tuple(exact_candidates) + tuple(discovered),
+                tuple(
+                    RelationCandidate(
+                        {g: CycNum.rational(N, c) for g, c in row.items()},
+                        "reversal",
+                        len(table.primes),
+                    )
+                    for row in rows
+                )
+                + tuple(found),
+                b_cert,
             )
         )
     return reports

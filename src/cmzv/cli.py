@@ -413,6 +413,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        if args.command == "cache" and args.action == "import" and args.file is None:
+            raise ValueError("cache import needs --file")
         config = RunConfig(
             command=args.command,
             N=getattr(args, "N", 1),

@@ -354,9 +354,6 @@ class CycNum:
         """Complex conjugation, zeta -> zeta^(-1)."""
         return self.galois(self.level - 1 if self.level > 1 else 1)
 
-    def embed(self, precision: int = 53):
-        return embed_complex(self, precision)
-
     # ---- protocol ------------------------------------------------------
 
     def __eq__(self, other):

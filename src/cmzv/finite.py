@@ -136,37 +136,57 @@ def _inverse_powers(p: int, kmax: int) -> np.ndarray:
     return powers
 
 
-def _prime_field_residues(gens, p: int, ctx: FqContext | None = None) -> list[int]:
-    """The sums below p of generators of one level, as ints mod p, batched.
+def _residues(gens, p: int, ctx: FqContext | None = None) -> list:
+    """The sums below p of generators of one level, batched.
 
-    Slot j of a generator contributes row[c_j] * n^-k_j for n = 1..p-1: the
-    class mask n = f_j (mod N) of a CongruenceIndex, or the phase
-    zeta^(e_j n) in F_p of a colored Index (then ctx, of degree 1, is
-    needed).  The n^-k rows and the row table are built once; generators
-    of one depth share one int64 pass of nested_sum over (G, p-1) columns.
+    Without ctx (congruence generators only) the sums are ints mod p; with
+    it they are elements of its field.  Slot j of a generator contributes
+    row[c_j] * n^-k_j for n = 1..p-1: the class mask n = f_j (mod N) of a
+    CongruenceIndex, or the phase zeta^(e_j n) of a colored Index.  The n^-k
+    rows are built once.  Where the phases lie in F_p, generators of one
+    depth share one int64 pass of nested_sum over (G, p-1) columns; colored
+    generators in a proper extension sum Fq columns, one at a time.
     """
     out = [0 if g.depth else 1 % p for g in gens]  # depth >= p leaves no term
-    by_depth = {}
+    by_depth, extension = {}, []
     for i, g in enumerate(gens):
-        if 0 < g.depth < p:
-            cs = g.fs if isinstance(g, CongruenceIndex) else tuple(g.level + e for e in g.es)
-            by_depth.setdefault(g.depth, []).append((i, g.ks, cs))
-    if not by_depth:
-        return out
-    N = gens[0].level
-    powers = _inverse_powers(p, max(max(g.ks) for g in gens if g.ks))
-    n = np.arange(1, p)
-    classes = np.arange(N)[:, None]
-    rows = (n % N == classes).astype(np.int64)  # row f: the mask n = f (mod N)
-    if ctx is not None and ctx.d == 1:
-        zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
-        rows = np.concatenate([rows, zp[classes * n % N]])  # row N + e: zeta^(e n)
+        if not 0 < g.depth < p:
+            continue
+        if isinstance(g, CongruenceIndex):
+            by_depth.setdefault(g.depth, []).append((i, g.ks, g.fs))
+        elif ctx.d == 1:
+            by_depth.setdefault(g.depth, []).append((i, g.ks, tuple(g.level + e for e in g.es)))
+        else:
+            extension.append(i)
+    if by_depth or extension:
+        N = gens[0].level
+        powers = _inverse_powers(p, max(max(g.ks) for g in gens if g.ks))
+    if by_depth:
+        n = np.arange(1, p)
+        classes = np.arange(N)[:, None]
+        rows = (n % N == classes).astype(np.int64)  # row f: the mask n = f (mod N)
+        if ctx is not None and ctx.d == 1:
+            zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
+            rows = np.concatenate([rows, zp[classes * n % N]])  # row N + e: zeta^(e n)
     for r, batch in by_depth.items():
         at, ks, cs = zip(*batch)
         ks, cs = np.array(ks) - 1, np.array(cs)  # (G, r) each
         sums = nested_sum(r, lambda j: rows[cs[:, j]] * powers[ks[:, j]], p)
         for i, v in zip(at, sums.tolist()):
             out[i] = v
+    if ctx is None:
+        return out
+    out = [ctx.scalar(v) for v in out]
+    zeta = [ctx.zeta_power(t) for t in range(ctx.N)]
+    for i in extension:
+        ix = gens[i]
+
+        def fq_column(j):
+            e = ix.es[j]
+            row = powers[ix.ks[j] - 1].tolist()
+            return np.array([zeta[e * n % N] * c for n, c in enumerate(row, 1)], dtype=object)
+
+        out[i] = nested_sum(ix.depth, fq_column)
     return out
 
 
@@ -176,28 +196,12 @@ def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
         ctx = make_fq_context(p, ix.level)
     if ctx.p != p or ctx.N != ix.level:
         raise ValueError("context does not match the prime and level")
-    r = ix.depth
-    if r == 0:
-        return ctx.one()
-    if r >= p:
-        return ctx.zero()
-    if ctx.d == 1:
-        return ctx.scalar(_prime_field_residues([ix], p, ctx)[0])
-    powers = _inverse_powers(p, max(ix.ks))
-    N = ix.level
-    zp = [ctx.zeta_power(t) for t in range(N)]
-
-    def fq_column(j):
-        e = ix.es[j]
-        row = powers[ix.ks[j] - 1].tolist()
-        return np.array([zp[e * n % N] * c for n, c in enumerate(row, 1)], dtype=object)
-
-    return nested_sum(r, fq_column)
+    return _residues([ix], p, ctx)[0]
 
 
 def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
     """The congruence-model sum below p as a plain integer mod p."""
-    return _prime_field_residues([cix], p)[0]
+    return _residues([cix], p)[0]
 
 
 def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
@@ -369,20 +373,10 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
 
 
 def _compute_column(args):
-    """The residues of gens at one prime, in order (worker-process entry point).
-
-    Prime-field generators go through one batched pass; colored ones in a
-    proper extension field take the Fq path one at a time.
-    """
+    """The residues of gens at one prime, in order (worker-process entry point)."""
     N, alpha, p, twist, gens = args
     ctx = make_fq_context(p, N, twist)
-    batch = [g for g in gens if ctx.d == 1 or isinstance(g, CongruenceIndex)]
-    values = dict(zip(batch, _prime_field_residues(batch, p, ctx)))
-    out = []
-    for gen in gens:
-        val = ctx.scalar(values[gen]) if gen in values else finite_residue(gen, p, ctx)
-        out.append(list(val.coeffs))
-    return p, out
+    return p, [list(v.coeffs) for v in _residues(gens, p, ctx)]
 
 
 def build_residue_table(

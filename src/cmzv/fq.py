@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
@@ -182,13 +182,6 @@ class FqContext:
     def scalar(self, c: int) -> "Fq":
         return Fq(self, (c % self.p,) + (0,) * (self.d - 1))
 
-    def element(self, coeffs) -> "Fq":
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.d:
-            coeffs = _pmod(coeffs, list(self.modulus), self.p)
-        coeffs = list(coeffs) + [0] * (self.d - len(coeffs))
-        return Fq(self, tuple(coeffs[: self.d]))
-
     def zeta_power(self, a: int) -> "Fq":
         return _zeta_power_cached(self)[a % self.N]
 
@@ -245,29 +238,9 @@ class Fq:
 
     __rmul__ = __mul__
 
-    def inv(self) -> "Fq":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in residue field")
-        ctx = self.ctx
-        if ctx.d == 1:
-            return Fq(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        # extended Euclid against the modulus
-        p = ctx.p
-        r0, r1 = list(ctx.modulus), _ptrim(list(self.coeffs))
-        t0, t1 = [0], [1]
-        while len(r1) > 1 or r1[0] != 0:
-            if len(r1) == 1:
-                break
-            q, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _ptrim([(x - y) % p for x, y in _zip_pad(t0, _pmul(q, t1, p))])
-        scale = pow(r1[0], p - 2, p)
-        out = [c * scale % p for c in t1]
-        return ctx.element(out)
-
     def __pow__(self, e: int):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("negative exponent; invert as a ** (p**d - 2)")
         result = self.ctx.one()
         base = self
         while e:

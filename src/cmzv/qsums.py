@@ -150,16 +150,16 @@ def _longdouble_pi():
         return np.longdouble(mpmath.nstr(mpmath.pi, 30))
 
 
-def _numeric_prefix(m, index, weights, precision, stop):
-    """The nested sum with n_1 ranging up to `stop`, one numpy column per slot."""
+def _numeric_sum(m, index, weights, precision):
+    """The nested sum below m, one numpy column per slot."""
     r = index.depth
     if r == 0:
         return 1.0 + 0.0j
-    if stop < r:
+    if r >= m:
         return 0.0 + 0.0j
     N = index.level
     if precision > 64:
-        return _numeric_prefix_mp(m, index, weights, precision, stop)
+        return _numeric_sum_mp(m, index, weights, precision)
     if precision > 53:
         real = np.longdouble
         cplx = np.clongdouble
@@ -168,11 +168,11 @@ def _numeric_prefix(m, index, weights, precision, stop):
         real = np.float64
         cplx = np.complex128
         pi = np.pi
-    n = np.arange(1, stop + 1, dtype=real)
+    n = np.arange(1, m, dtype=real)
     sin_n = np.sin(pi * n / m)
     sin_1 = np.sin(pi / real(m))
     log_amp = np.log(sin_1) - np.log(sin_n)  # log of 1/|[n]|
-    _tick(r * stop)
+    _tick(r * (m - 1))
 
     def column(j):
         k, e = index.ks[j], index.es[j]
@@ -184,7 +184,7 @@ def _numeric_prefix(m, index, weights, precision, stop):
     return complex(nested_sum(r, column))
 
 
-def _numeric_prefix_mp(m, index, weights, precision, stop):
+def _numeric_sum_mp(m, index, weights, precision):
     import mpmath
 
     r = index.depth
@@ -195,9 +195,9 @@ def _numeric_prefix_mp(m, index, weights, precision, stop):
         # 1/[n] = (sin(pi/m)/sin(pi n/m)) * exp(-i pi (n-1)/m)
         inv_q = [
             sin1 / mpmath.sin(pi * n / m) * mpmath.expjpi(mpmath.mpf(-(n - 1)) / m)
-            for n in range(1, stop + 1)
+            for n in range(1, m)
         ]
-        _tick(r * stop)
+        _tick(r * (m - 1))
 
         def column(j):
             k, e = index.ks[j], index.es[j]
@@ -230,18 +230,7 @@ def qsum_numeric(m, index, weights=None, precision=None):
         raise ValueError("weights length must equal depth")
     if precision is None:
         precision = default_precision(m)
-    return _numeric_prefix(m, index, weights, precision, m - 1)
-
-
-def qsum_half_numeric(m, index, weights=None, precision=None):
-    """Half-range variant: outermost summation index bounded by m/2."""
-    if m < 2:
-        raise ValueError("half-range sum needs m >= 2")
-    if weights is not None and len(weights) != index.depth:
-        raise ValueError("weights length must equal depth")
-    if precision is None:
-        precision = default_precision(m)
-    return _numeric_prefix(m, index, weights, precision, m // 2)
+    return _numeric_sum(m, index, weights, precision)
 
 
 # ---- truncated colored MZVs --------------------------------------------------

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import CycNum, euler_phi
-from .fq import FqContext, make_fq_context, to_residue_field
+from .fq import make_fq_context
 from .finite import (
     CongruenceIndex,
     PrimeClass,
@@ -34,7 +34,6 @@ from .finite import (
 )
 from .lattice import GSOBasis, echelon_basis, lll_reduce
 from .words import (
-    E_ZERO,
     Index,
     Word,
     difference_roots,
@@ -116,23 +115,6 @@ def enumerate_generators(N: int, weight: int, model: str = "congruence") -> list
 # ---- exact relation families -------------------------------------------------------
 
 
-def reversal_relations_colored(N: int, weight: int, alpha: int) -> list[dict]:
-    """Rows over Q(zeta_N): conjugated value minus sign/root times the reversal."""
-    rows = []
-    for ix in enumerate_generators(N, weight, "colored"):
-        sign = -1 if ix.weight % 2 else 1
-        root = CycNum.root_power(N, (-alpha * sum(ix.es)) % N)
-        row = {}
-        conj = Index(ix.ks, tuple(-e % N for e in ix.es), N)
-        row[conj] = row.get(conj, CycNum.zero(N)) + CycNum.one(N)
-        rev = ix.reversed()
-        row[rev] = row.get(rev, CycNum.zero(N)) - root * sign
-        row = {g: c for g, c in row.items() if not c.is_zero}
-        if row:
-            rows.append(row)
-    return rows
-
-
 def reversal_relations_congruence(N: int, weight: int, alpha: int) -> list[dict]:
     """Rows over Q from the substitution m -> p - m inside the truncated sum."""
     rows = []
@@ -148,23 +130,6 @@ def reversal_relations_congruence(N: int, weight: int, alpha: int) -> list[dict]
     return rows
 
 
-def _index_words_of_weight(N: int, weight: int):
-    """All index words of the exact weight (empty word included at weight 0)."""
-    if weight == 0:
-        yield Word((), N)
-        return
-    alphabet = (E_ZERO,) + tuple(range(N))
-    for prefix in itertools.product(alphabet, repeat=weight - 1):
-        for last in range(N):
-            yield Word(prefix + (last,), N)
-
-
-def _all_words_of_weight(N: int, weight: int):
-    alphabet = (E_ZERO,) + tuple(range(N))
-    for letters in itertools.product(alphabet, repeat=weight):
-        yield Word(letters, N)
-
-
 def linear_shuffle_row(u: Word, v: Word) -> dict:
     """Index-word coefficients of q(u sh v e_1) - (-1)^(|v|+1) q(rev(v) e_1 u).
 
@@ -173,7 +138,6 @@ def linear_shuffle_row(u: Word, v: Word) -> dict:
     if not u.is_index_word:
         raise ValueError("u must be an index word")
     N = u.level
-    e1 = Word((0,), N)
     row = {}
     for w, c in shuffle_product(u, Word(v.letters + (0,), N)):
         ix = word_to_index(difference_roots(w))
@@ -185,21 +149,8 @@ def linear_shuffle_row(u: Word, v: Word) -> dict:
     return {g: c for g, c in row.items() if c}
 
 
-def linear_shuffle_relations(N: int, weight: int) -> list[dict]:
-    """All linear-shuffle rows with every term of the given weight."""
-    rows = []
-    for a in range(weight):
-        b = weight - 1 - a
-        for u in _index_words_of_weight(N, a):
-            for v in _all_words_of_weight(N, b):
-                row = linear_shuffle_row(u, v)
-                if row:
-                    rows.append(row)
-    return rows
-
-
-def _echelon(rows: list[dict], order: dict, zero, as_unit):
-    """Sparse Gaussian elimination; returns (pivots: gen -> row, rank)."""
+def _echelon(rows: list[dict], order: dict) -> dict:
+    """Sparse Gaussian elimination over Q; returns the pivot rows, gen -> row."""
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -207,51 +158,21 @@ def _echelon(rows: list[dict], order: dict, zero, as_unit):
             lead = min(row, key=lambda g: order[g])
             hit = pivots.get(lead)
             if hit is None:
-                inv = as_unit(row[lead])
+                inv = 1 / Fraction(row[lead])
                 row = {g: c * inv for g, c in row.items()}
                 pivots[lead] = row
                 break
             factor = row[lead]
             for g, c in hit.items():
-                nc = row.get(g, zero) - factor * c
-                if nc == zero:
+                nc = row.get(g, 0) - factor * c
+                if nc == 0:
                     row.pop(g, None)
                 else:
                     row[g] = nc
     return pivots
 
 
-def exact_relation_rank(generators, relation_rows) -> int:
-    """Rank of the given relation rows over the coefficient field, exactly.
-
-    Rows map generators to CycNum (colored model) or Fraction (congruence
-    model); every term must be one of the listed generators.
-    """
-    order = {g: i for i, g in enumerate(generators)}
-    for row in relation_rows:
-        for g in row:
-            if g not in order:
-                raise ValueError(f"relation touches {g!r} outside the generator list")
-    if not relation_rows:
-        return 0
-    sample = next(iter(relation_rows[0].values()))
-    if isinstance(sample, CycNum):
-        zero = CycNum.zero(sample.level)
-        pivots = _echelon(relation_rows, order, zero, lambda c: c.inv())
-    else:
-        pivots = _echelon(relation_rows, order, Fraction(0), lambda c: 1 / Fraction(c))
-    return len(pivots)
-
-
 # ---- per-prime checks of the proven families ----------------------------------------
-
-
-def evaluate_colored_row(row: dict, p: int, ctx: FqContext):
-    """Reduce a Q(zeta_N)-coefficient row at one prime and sum it up."""
-    total = ctx.zero()
-    for ix, coeff in row.items():
-        total = total + to_residue_field(coeff, ctx) * finite_residue(ix, p, ctx)
-    return total
 
 
 def _fraction_mod(c: Fraction, p: int) -> int:
@@ -343,13 +264,17 @@ class Discovery(list):
         self.b_cert, self.held_out_failures = b_cert, held_out_failures
 
 
+# Lovasz parameter of the relation lattice
+_DELTA = Fraction(3, 4)
+
+
 def _dot_mod(rows, column, p):
     """rows . column mod p, exactly (in Python ints where int64 could overflow)."""
     kind = np.int64 if len(column) * p * p < 2**63 else object
     return ((rows % p).astype(kind) @ column.astype(kind) % p).astype(np.int64)
 
 
-def _feed(basis: GSOBasis, group, delta) -> None:
+def _feed(basis: GSOBasis, group) -> None:
     """Keep the lattice vectors v with v.r = 0 mod p for each (p, r) in group.
 
     With P the product of the primes and s = b.r mod P, the last row j with
@@ -363,7 +288,7 @@ def _feed(basis: GSOBasis, group, delta) -> None:
     units = np.flatnonzero(np.logical_and.reduce([x != 0 for x in s]))
     if not units.size:
         for one in group if len(group) > 1 else ():
-            _feed(basis, [one], delta)
+            _feed(basis, [one])
         return
     P, j = math.prod(p for p, _ in group), units[-1]
     if int(np.abs(b).max()) * P >= 2**53:
@@ -375,14 +300,13 @@ def _feed(basis: GSOBasis, group, delta) -> None:
     b -= c[:, None] * b[j]
     b[j] *= P
     basis.fresh = min(basis.fresh, j, *np.flatnonzero(c)[:1])
-    lll_reduce(basis, delta)
+    lll_reduce(basis, _DELTA)
 
 
 def discover_relations_lll(
     table: ResidueTable,
     height_bound: int = 1000,
     prime_split: tuple[int, int] = (24, 12),
-    delta: Fraction = Fraction(3, 4),
     skip=(),
 ) -> Discovery:
     """Relations among the generators not in `skip`, from one relation lattice.
@@ -418,7 +342,7 @@ def discover_relations_lll(
         raise ValueError("training primes must be below 2^31")
     for i in range(0, train_n, size):
         if len(basis):
-            _feed(basis, [(p, columns[p]) for p in primes[i : min(i + size, train_n)]], delta)
+            _feed(basis, [(p, columns[p]) for p in primes[i : min(i + size, train_n)]])
         keep = len(basis)
         while keep and basis.norm2[keep - 1] > height_bound**2 * G:
             keep -= 1
@@ -451,7 +375,6 @@ class DimConfig:
     verify_primes: int = 12
     prime_floor: int | None = None  # default: max(weight + 2, 50)
     height_bound: int = 1000
-    delta: Fraction = Fraction(3, 4)  # Lovasz parameter of the relation lattice
     twist: int = 1
     use_cache: bool = True
     cache_dir: str | None = None
@@ -546,12 +469,10 @@ def dimension_table(
 
         index = {g: i for i, g in enumerate(gens)}
         rows = reversal_relations_congruence(N, weight, alpha)
-        pivots = _echelon(rows, index, Fraction(0), lambda c: 1 / Fraction(c))
+        pivots = _echelon(rows, index)
         rows = [row for _, row in sorted(pivots.items(), key=lambda kv: index[kv[0]])]
         _check_exact_rows(rows, gens, table)  # the family is proven; fail loudly
-        found = discover_relations_lll(
-            table, config.height_bound, split, config.delta, skip=pivots
-        )
+        found = discover_relations_lll(table, config.height_bound, split, skip=pivots)
         b_cert = found.b_cert
         uncertified = b_cert is not None and b_cert < config.height_bound
         under = under or found.held_out_failures > 0 or uncertified

@@ -29,20 +29,17 @@ from .words import (
 class MzvEvalConfig:
     cutoff: int = 10**6
     precision: int = 64
-    tail_model: str = "log-power"  # "none" disables the tail term
 
     def __post_init__(self):
         if self.cutoff < 10**3:
             raise ValueError("cutoff below 1000 gives useless tail bounds")
-        if self.tail_model not in ("log-power", "none"):
-            raise ValueError(f"unknown tail model {self.tail_model!r}")
 
 
 _MZV_CACHE: dict = {}
 
 
 def _tail_estimate(ix: Index, cfg: MzvEvalConfig) -> float:
-    if ix.depth == 0 or cfg.tail_model == "none":
+    if ix.depth == 0:
         return 0.0
     M = cfg.cutoff
     r = ix.depth
@@ -70,7 +67,7 @@ def mzv_numeric(x, cfg: MzvEvalConfig | None = None) -> tuple[complex, float]:
         raise ValueError(f"{ix!r} is not admissible; the series diverges")
     if ix.depth == 0:
         return (1.0 + 0.0j, 0.0)
-    key = (ix.level, ix.ks, ix.es, cfg.cutoff, cfg.precision, cfg.tail_model)
+    key = (ix.level, ix.ks, ix.es, cfg.cutoff, cfg.precision)
     hit = _MZV_CACHE.get(key)
     if hit is not None:
         return hit
@@ -89,10 +86,6 @@ class RegPoly:
 
     coeffs: tuple
     tol: float = 0.0
-
-    @classmethod
-    def constant(cls, c, tol=0.0) -> "RegPoly":
-        return cls((complex(c),), tol)
 
     @property
     def degree(self) -> int:
@@ -144,15 +137,6 @@ class RegPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def trimmed(self, eps: float | None = None) -> "RegPoly":
-        """Drop trailing coefficients at or below the noise floor."""
-        if eps is None:
-            eps = max(self.tol, 0.0)
-        cs = list(self.coeffs)
-        while len(cs) > 1 and abs(cs[-1]) <= eps:
-            cs.pop()
-        return RegPoly(tuple(cs), self.tol)
 
 
 def _rows_to_poly(rows, piece_value, cfg) -> RegPoly:

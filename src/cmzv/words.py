@@ -133,9 +133,6 @@ class Index:
     def reversed(self) -> "Index":
         return Index(self.ks[::-1], self.es[::-1], self.level)
 
-    def conjugate_colors(self) -> "Index":
-        return Index(self.ks, tuple(-e % self.level for e in self.es), self.level)
-
     def __repr__(self):
         return f"Index(k={list(self.ks)}, e={list(self.es)}, N={self.level})"
 

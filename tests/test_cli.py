@@ -243,6 +243,13 @@ def test_cache_admin_round_trip(tmp_path, monkeypatch, capsys):
     assert stat_after == stat_before
 
 
+def test_cache_import_without_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(["cache", "import", "--cache-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cache_stat_json(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CMZV_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(["cache", "stat", "--format", "json"], capsys)

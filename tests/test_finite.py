@@ -275,6 +275,15 @@ def test_residue_table_builds_one_inverse_table_per_prime(monkeypatch):
     for p in (7, 13, 19):
         assert table.residue(gens[0], p) == congruence_residue(gens[0], p)
         assert table.residue(gens[2], p) == brute_finite(gens[2], p, table.contexts[p])
+    # 2 has order 2 mod 3: colored residues lie in F_(p^2), summed as Fq objects
+    built.clear()
+    gens = [Index((1, 1), (1, 2), 3), Index((2,), (1,), 3), CongruenceIndex((1,), (2,), 3)]
+    table = build_residue_table(gens, PrimeClass(3, 2, (5, 11, 17)), use_cache=False)
+    assert sorted(built) == [5, 11, 17]
+    for p in (5, 11, 17):
+        assert table.contexts[p].d == 2
+        for gen in gens[:2]:
+            assert table.residue(gen, p) == brute_finite(gen, p, table.contexts[p])
 
 
 def test_congruence_index_parsing_round_trip():

@@ -111,7 +111,9 @@ def test_fq_arithmetic_inert():
     ctx = make_fq_context(5, 3)
     z = ctx.zeta_image
     a = z + ctx.scalar(2)
-    assert a * a.inv() == ctx.one()
+    assert a * a ** (5**2 - 2) == ctx.one()
+    with pytest.raises(ValueError):
+        a ** -1
     assert a - a == ctx.zero()
     assert a**24 == ctx.one()  # group order 5^2 - 1
 

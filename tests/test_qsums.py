@@ -15,7 +15,6 @@ from cmzv.qsums import (
     default_precision,
     field_op_counter,
     qsum_exact,
-    qsum_half_numeric,
     qsum_numeric,
     truncated_cmzv_exact,
     truncated_cmzv_numeric,
@@ -23,7 +22,7 @@ from cmzv.qsums import (
 from cmzv.words import Index, harmonic_product, index_to_word, word_to_index
 
 
-def naive_qsum(m, index, half=False, weights=None, dps=40):
+def naive_qsum(m, index, weights=None, dps=40):
     """Brute-force nested summation with mpmath (the independent oracle)."""
     with mpmath.workdps(dps):
         q = mpmath.expjpi(mpmath.mpf(2) / m)
@@ -31,7 +30,6 @@ def naive_qsum(m, index, half=False, weights=None, dps=40):
         brackets = [None] + [
             (1 - q**n) / (1 - q) for n in range(1, m)
         ]
-        top = m // 2 if half else m - 1
 
         def rec(j, upper):
             if j == index.depth:
@@ -44,7 +42,7 @@ def naive_qsum(m, index, half=False, weights=None, dps=40):
                 total += term * rec(j + 1, n - 1)
             return total
 
-        return complex(rec(0, top))
+        return complex(rec(0, m - 1))
 
 
 def small_indices():
@@ -204,14 +202,6 @@ def test_numeric_precision_paths_agree(precision):
     assert abs(got - want) < 1e-11
 
 
-def test_half_range_matches_naive():
-    ix = Index((1, 1), (1, 0), 2)
-    for m in (8, 13):
-        got = qsum_half_numeric(m, ix)
-        want = naive_qsum(m, ix, half=True)
-        assert abs(got - want) < 1e-10
-
-
 def test_q_power_weights_match_naive():
     ix = Index((2, 1), (0, 1), 3)
     weights = (1, 2)
@@ -225,8 +215,6 @@ def test_weights_validation():
     ix = Index((1,), (0,), 1)
     with pytest.raises(ValueError):
         qsum_numeric(5, ix, weights=(1, 2))
-    with pytest.raises(ValueError):
-        qsum_half_numeric(1, ix)
 
 
 def test_default_precision_switch():

@@ -21,13 +21,8 @@ from cmzv.relations import (
     dimension_table,
     discover_relations_lll,
     enumerate_generators,
-    evaluate_colored_row,
-    exact_relation_rank,
-    linear_shuffle_relations,
     linear_shuffle_row,
     mt_dimension,
-    reversal_relations_colored,
-    reversal_relations_congruence,
 )
 from cmzv.symmetric import MzvEvalConfig
 from cmzv.words import E_ZERO, Index, Word
@@ -126,35 +121,10 @@ def test_linear_shuffle_row_is_weight_homogeneous(data):
 # ---- exact ranks ----
 
 
-def test_exact_rank_weight_two_level_one():
-    gens = enumerate_generators(1, 2, "colored")
-    rows = linear_shuffle_relations(1, 2) + reversal_relations_colored(1, 2, 1)
-    assert exact_relation_rank(gens, rows) == 1  # 3*[1,1] = 0
-
-
-def test_exact_rank_weight_three_level_one():
-    gens = enumerate_generators(1, 3, "colored")
-    rows = linear_shuffle_relations(1, 3) + reversal_relations_colored(1, 3, 1)
-    # forces dim <= 1, and dim 1 is the truth at weight 3
-    assert exact_relation_rank(gens, rows) == 3
-
-
 def test_congruence_reversal_ranks():
-    for w, expected in ((3, 3), (4, 2)):
-        gens = enumerate_generators(1, w, "congruence")
-        rows = reversal_relations_congruence(1, w, 1)
-        assert exact_relation_rank(gens, rows) == expected
-
-
-def test_exact_rank_rejects_stray_terms():
-    gens = enumerate_generators(1, 2, "colored")
-    stray = {Index((3,), (0,), 1): CycNum.one(1)}
-    with pytest.raises(ValueError):
-        exact_relation_rank(gens, [stray])
-
-
-def test_exact_rank_empty():
-    assert exact_relation_rank(enumerate_generators(1, 2, "colored"), []) == 0
+    reports = dimension_table(1, 1, 4, DimConfig(use_cache=False))
+    ranks = {r.weight: r.exact_relation_rank for r in reports}
+    assert (ranks[3], ranks[4]) == (3, 2)
 
 
 # ---- per-prime identity checks ----
@@ -201,12 +171,6 @@ def test_random_identities_hold_per_prime(data):
     )
     v = Word(tuple(data.draw(st.sampled_from(alphabet)) for _ in range(b)), N)
     assert all(check_linear_shuffle_finite(u, v, pc).values())
-
-
-def test_colored_reversal_rows_vanish_in_residue_field():
-    ctx = make_fq_context(13, 3)
-    for row in reversal_relations_colored(3, 2, 1):
-        assert evaluate_colored_row(row, 13, ctx).is_zero
 
 
 def test_symmetric_linear_shuffle_report():

@@ -308,7 +308,6 @@ def test_lincomb_drops_zeros():
 def test_index_helpers():
     ix = Index((2, 1), (1, 2), 3)
     assert ix.reversed() == Index((1, 2), (2, 1), 3)
-    assert ix.conjugate_colors() == Index((2, 1), (2, 1), 3)
     assert ix.weight == 3 and ix.depth == 2
     assert not Index((1,), (0,), 4).is_admissible
 

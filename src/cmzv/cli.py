@@ -35,7 +35,6 @@ class RunConfig:
     N: int = 1
     alpha: int = 1
     precision: int = 53
-    cutoff: int = 10**6
     train_primes: int = 24
     verify_primes: int = 12
     cache_dir: str | None = None
@@ -44,7 +43,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 1 or self.precision < 1 or self.cutoff < 1 or self.jobs < 1:
+        if self.N < 1 or self.precision < 1 or self.jobs < 1:
             raise ValueError("bounds must be positive")
         if self.train_primes < 1 or self.verify_primes < 0:
             raise ValueError("prime counts must be positive")
@@ -165,7 +164,7 @@ def _cmd_sym(args, config: RunConfig, out: _Out) -> int:
     from .words import parse_index
 
     ix = parse_index(args.index, args.N)
-    cfg = MzvEvalConfig(cutoff=config.cutoff, precision=config.precision)
+    cfg = MzvEvalConfig(precision=config.precision)
     val = symmetric_cmzv(config.alpha, ix, cfg)
     doc = {
         "index": args.index,
@@ -318,12 +317,23 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
         )
         out.write(text)
         return 0
-    # import: merge a JSON-lines bundle back into per-class files
+    # import: merge a JSON-lines bundle back into per-class files; lines that
+    # are not JSON are skipped, as cache files skip them
+    records, bad = [], []
     with open(args.file) as fh:
-        records = [
-            json.loads(line) for line in fh if line.strip()
-        ]
-    records = [r for r in records if _valid_record(r)]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                bad.append(number)
+                continue
+            if _valid_record(rec):
+                records.append(rec)
+    if bad:
+        print(f"warning: {args.file}: skipped {len(bad)} non-JSON line(s), "
+              f"the first at line {bad[0]}", file=sys.stderr)
     store_records(records, root)
     out.write(_json_text({"imported": len(records)}))
     return 0
@@ -338,7 +348,6 @@ def _add_common(sp):
     sp.add_argument("--primes", type=int, default=24,
                     help="training prime count (or prime count for finite/check)")
     sp.add_argument("--verify-primes", type=int, default=12)
-    sp.add_argument("--cutoff", type=int, default=10**6)
     sp.add_argument("--prec", type=int, default=53)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
@@ -420,7 +429,6 @@ def main(argv=None) -> int:
             N=getattr(args, "N", 1),
             alpha=args.alpha,
             precision=args.prec,
-            cutoff=args.cutoff,
             train_primes=args.primes,
             verify_primes=args.verify_primes,
             cache_dir=args.cache_dir,

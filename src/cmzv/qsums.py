@@ -143,11 +143,28 @@ def qsum_exact(m: int, index: Index) -> CycNum:
 # ---- numeric engine ----------------------------------------------------------
 
 
+# the significand of numpy's longdouble: 64 bits on x86-64, 53 where it is double
+LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1
+
+
 def _longdouble_pi():
     import mpmath
 
-    with mpmath.workdps(40):
-        return np.longdouble(mpmath.nstr(mpmath.pi, 30))
+    # 40 digits: enough for a 113-bit longdouble
+    with mpmath.workdps(50):
+        return np.longdouble(mpmath.nstr(mpmath.pi, 40))
+
+
+def float_types(precision: int):
+    """(real, complex, pi) of the narrowest numpy float with `precision` bits.
+
+    None when no numpy float has them; the caller then works in mpmath.
+    """
+    if precision <= 53:
+        return np.float64, np.complex128, np.pi
+    if precision <= LONGDOUBLE_BITS:
+        return np.longdouble, np.clongdouble, _longdouble_pi()
+    return None
 
 
 def _numeric_sum(m, index, weights, precision):
@@ -158,16 +175,10 @@ def _numeric_sum(m, index, weights, precision):
     if r >= m:
         return 0.0 + 0.0j
     N = index.level
-    if precision > 64:
+    types = float_types(precision)
+    if types is None:
         return _numeric_sum_mp(m, index, weights, precision)
-    if precision > 53:
-        real = np.longdouble
-        cplx = np.clongdouble
-        pi = _longdouble_pi()
-    else:
-        real = np.float64
-        cplx = np.complex128
-        pi = np.pi
+    real, cplx, pi = types
     n = np.arange(1, m, dtype=real)
     sin_n = np.sin(pi * n / m)
     sin_1 = np.sin(pi / real(m))
@@ -268,7 +279,8 @@ def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex
     if r >= m:
         return 0.0 + 0.0j
     N = index.level
-    if precision > 64:
+    types = float_types(precision)
+    if types is None:
         import mpmath
 
         with mpmath.workprec(precision + 16):
@@ -284,12 +296,7 @@ def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex
                 return np.array(col, dtype=object)
 
             return complex(nested_sum(r, mp_column))
-    if precision > 53:
-        real, cplx = np.longdouble, np.clongdouble
-        pi = _longdouble_pi()
-    else:
-        real, cplx = np.float64, np.complex128
-        pi = np.pi
+    real, cplx, pi = types
     n = np.arange(1, m, dtype=real)
     root_table = np.exp(1j * (2 * pi / N) * np.arange(N, dtype=real)).astype(cplx)
     _tick(r * (m - 1))

@@ -1,8 +1,21 @@
 """Numeric colored MZVs, regularized T-polynomials, and symmetric values.
 
-Colored MZVs are evaluated by direct truncated summation with an explicit
-tail bound that is propagated through every polynomial operation, so each
-final number carries a defensible tolerance instead of a magic epsilon.
+A colored MZV is evaluated by the Hölder convolution of multiple
+polylogarithms (Borwein, Bradley, Broadhurst and Lisoněk, "Special values
+of multiple polylogarithms", Trans. AMS 353 (2001), arXiv:math/9910045), in
+the G-function form of Vollinga and Weinzierl ("Numerical evaluation of
+multiple polylogarithms", CPC 167 (2005), arXiv:hep-ph/0410259).  The index
+(k; eta) is the word a = 0^(k1-1) b1 ... 0^(kr-1) br, b_j = 1/(eta_1...eta_j),
+and
+
+    zeta(k; eta) = (-1)^r sum_j (-1)^j G(1-a_j, ..., 1-a_1; 1-y) G(a_(j+1), ..., a_w; y)
+
+with y = 1/(1+delta), delta = min(1, |1 - b| over the letters b != 1).  Each
+G is a multiple polylogarithm whose terms fall like rho^n1 with rho =
+1/(1+delta), 1/2 for N <= 6, so precision/log2(1/rho) terms and a few more
+suffice.  The geometric tail bound and a rounding bound of every piece are
+propagated through every polynomial operation, so each final number carries
+a defensible tolerance instead of a magic epsilon.
 """
 
 from __future__ import annotations
@@ -12,7 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qsums import truncated_cmzv_numeric
+import numpy as np
+
+from .qsums import float_types
 from .words import (
     Index,
     Word,
@@ -20,6 +35,7 @@ from .words import (
     difference_roots,
     harmonic_regularize,
     index_to_word,
+    nested_sum,
     shuffle_regularize,
     word_to_index,
 )
@@ -27,35 +43,125 @@ from .words import (
 
 @dataclass(frozen=True)
 class MzvEvalConfig:
-    cutoff: int = 10**6
     precision: int = 64
 
     def __post_init__(self):
-        if self.cutoff < 10**3:
-            raise ValueError("cutoff below 1000 gives useless tail bounds")
+        if self.precision < 1:
+            raise ValueError("precision must be positive")
 
 
 _MZV_CACHE: dict = {}
 
 
-def _tail_estimate(ix: Index, cfg: MzvEvalConfig) -> float:
-    if ix.depth == 0:
-        return 0.0
-    M = cfg.cutoff
-    r = ix.depth
-    k1, e1 = ix.ks[0], ix.es[0]
-    logs = (2.0 * math.log(M)) ** (r - 1)
-    if k1 >= 2:
-        # sum_{n >= M} n^-k <= integral from M-1, and the truncation is strict
-        tail = logs * float(M - 1) ** (1 - k1) / (k1 - 1)
-    else:
-        # leading exponent 1 needs a nontrivial color; partial sums of
-        # eta^n are bounded by 2/|1 - eta|, Abel summation gives ~1/M decay
-        gap = 2.0 * math.sin(math.pi * e1 / ix.level)
-        tail = (4.0 / gap) * logs / M
-    # floating accumulation over M terms
-    rounding = 2.0 ** (1 - cfg.precision) * M * logs
-    return tail + rounding
+def _log_tail(s: int, M: int, rho: float) -> float:
+    """log of a bound on the terms n1 > M of a depth-s G with ratio rho.
+
+    There are C(n1-1, s-1) terms of size at most rho^n1 for each n1, and
+    C(n, s-1)/C(n-1, s-1) <= g for n > M, so the tail is at most
+    C(M, s-1) rho^(M+1) / (1 - g rho); +inf where g rho >= 1.
+    """
+    g = (M + 1) / (M + 2 - s)
+    if g * rho >= 1:
+        return math.inf
+    return math.log(math.comb(M, s - 1)) + (M + 1) * math.log(rho) - math.log1p(-g * rho)
+
+
+def _g_sum(word, y, M, dtype, n):
+    """G(word; y) summed over n1 <= M, and its depth s.
+
+    word is a list of letters, None for the letter 0, ending in a nonzero
+    letter; G = (-1)^s Li_m(y/z1, z1/z2, ...) for word = 0^(m1-1) z1 ...
+    """
+    ms, zs, m = [], [], 1
+    for z in word:
+        if z is None:
+            m += 1
+        else:
+            ms.append(m)
+            zs.append(z)
+            m = 1
+    s = len(zs)
+    if s == 0:
+        return 1, 0
+    xs = [prev / z for prev, z in zip([y] + zs, zs)]
+    value = nested_sum(s, lambda j: np.cumprod(np.full(M, xs[j], dtype)) / n ** ms[j])
+    return (-value if s % 2 else value), s
+
+
+def _holder(ix: Index, precision: int, real, root, dtype, u: float):
+    """zeta(ix) by Hölder convolution, in the number type of real and dtype.
+
+    root(t) is zeta_N^t in that type and u its unit roundoff.  Returns the
+    value in that type and a bound on its error.
+    """
+    N = ix.level
+    letters, t = [], 0  # a as exponents of zeta_N, None for the letter 0
+    for k, e in zip(ix.ks, ix.es):
+        t = (t - e) % N
+        letters += [None] * (k - 1) + [t]
+    w = len(letters)
+    delta = min([1.0] + [2 * math.sin(math.pi * b / N) for b in letters if b])
+    rho = 1 / (1 + delta)  # the largest y/|a| and (1-y)/|1-a| over nonzero letters
+    M = max(w, math.ceil(precision * math.log(2) / -math.log(rho)))
+    while _log_tail(w, M, rho) > -precision * math.log(2):
+        M += 1
+    n = np.arange(1, M + 1, dtype=object if dtype is object else real)
+    y = real(rho)
+    roots = {b: root(b) for b in set(letters) if b is not None}
+    a = [None if b is None else roots[b] for b in letters]
+    one_minus_a = [real(1) if b is None else (None if b == 0 else 1 - roots[b]) for b in letters]
+
+    def bounds(s):
+        """|G| and the error of the computed G for a depth-s piece."""
+        if s == 0:
+            return 1.0, 0.0
+        B = (rho / (1 - rho)) ** s  # sum over n1 of C(n1-1, s-1) rho^n1
+        # A column entry x^n/n^m carries n times the error of x (two letters,
+        # 19u/delta each, and a division) plus 3u per product of the cumprod;
+        # the prefix sums add M roundings at the outer slot and n1 at each
+        # inner one; and sum n1 C(n1-1, s-1) rho^n1 = s B/(1 - rho).
+        rounding = 1.01 * u * B * (M + 5 * s + (40 / delta + 12) * s * s / (1 - rho))
+        return B, math.exp(_log_tail(s, M, rho)) + rounding
+
+    total, tol, size = 0, 0.0, 0.0
+    for j in range(w + 1):
+        left, s_left = _g_sum(one_minus_a[:j][::-1], 1 - y, M, dtype, n)
+        right, s_right = _g_sum(a[j:], y, M, dtype, n)
+        (b_l, t_l), (b_r, t_r) = bounds(s_left), bounds(s_right)
+        total = total + (-left * right if j % 2 else left * right)
+        tol += t_l * (b_r + t_r) + t_r * b_l
+        size += b_l * b_r
+    value = -total if ix.depth % 2 else total
+    return value, tol + 2 * (w + 2) * u * size
+
+
+def _evaluate(ix: Index, precision: int):
+    """_holder in the number type float_types picks for precision.
+
+    Where the columns x^n outgrow the float's exponent range, which takes a
+    level near 40 in float64, the sum is made again in mpmath.
+    """
+    N = ix.level
+    types = float_types(precision)
+    if types is not None:
+        real, cplx, pi = types
+        try:
+            with np.errstate(over="raise"):
+                return _holder(
+                    ix, precision, real,
+                    lambda t: np.cos(2 * pi * t / N) + 1j * np.sin(2 * pi * t / N),
+                    cplx, float(np.finfo(real).eps) / 2,
+                )
+        except FloatingPointError:
+            pass
+    import mpmath
+
+    work = precision + 16
+    with mpmath.workprec(work):
+        return _holder(
+            ix, precision, mpmath.mpf,
+            lambda t: mpmath.expjpi(mpmath.mpf(2 * t) / N), object, math.ldexp(1.0, -work),
+        )
 
 
 def mzv_numeric(x, cfg: MzvEvalConfig | None = None) -> tuple[complex, float]:
@@ -67,12 +173,13 @@ def mzv_numeric(x, cfg: MzvEvalConfig | None = None) -> tuple[complex, float]:
         raise ValueError(f"{ix!r} is not admissible; the series diverges")
     if ix.depth == 0:
         return (1.0 + 0.0j, 0.0)
-    key = (ix.level, ix.ks, ix.es, cfg.cutoff, cfg.precision)
+    key = (ix.level, ix.ks, ix.es, cfg.precision)
     hit = _MZV_CACHE.get(key)
     if hit is not None:
         return hit
-    value = truncated_cmzv_numeric(cfg.cutoff, ix, cfg.precision)
-    out = (value, _tail_estimate(ix, cfg))
+    value, tol = _evaluate(ix, cfg.precision)
+    value = complex(value)
+    out = (value, tol + 2.0**-53 * abs(value))
     _MZV_CACHE[key] = out
     return out
 

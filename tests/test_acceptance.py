@@ -116,7 +116,7 @@ def test_criterion_03_relation_identities_per_prime():
 
 
 def test_criterion_04_symmetric_depth_one_values():
-    cfg = MzvEvalConfig()  # cutoff 10**6
+    cfg = MzvEvalConfig()
     s1 = symmetric_cmzv(1, Index((1,), (0,), 1), cfg)
     assert s1.value == complex(0.0, -math.pi)  # exact cancellation
     s2 = symmetric_cmzv(1, Index((2,), (0,), 1), cfg)

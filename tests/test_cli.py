@@ -42,7 +42,7 @@ def test_sym_weight_one_is_minus_pi_i(capsys):
 
 def test_sym_level_two(capsys):
     code, out, _ = run_cli(
-        ["sym", "--N", "2", "--index", "k=1;e=1", "--cutoff", "100000"], capsys
+        ["sym", "--N", "2", "--index", "k=1;e=1"], capsys
     )
     assert code == 0
     doc = json.loads(out)
@@ -250,6 +250,28 @@ def test_cache_import_without_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_cache_import_skips_non_json_lines(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    run_cli(["dim", "--N", "1", "--wmax", "2", "--primes", "4", "--verify-primes", "2",
+             *cache], capsys)
+    good = tmp_path / "good.jsonl"
+    assert run_cli(["cache", "export", "--out", str(good), *cache], capsys)[0] == 0
+    lines = good.read_text().splitlines(keepends=True)
+    bundle = tmp_path / "bundle.jsonl"
+    bundle.write_text(lines[0] + "not json\n" + "".join(lines[1:]) + "{truncated\n")
+    run_cli(["cache", "clear", *cache], capsys)
+    code, out, err = run_cli(["cache", "import", "--file", str(bundle), *cache], capsys)
+    assert code == 0
+    assert json.loads(out) == {"imported": len(lines)}
+    warning = err.splitlines()[0]
+    assert warning.startswith("warning:") and str(bundle) in warning
+    assert "2 non-JSON" in warning and "line 2" in warning
+    code, out, err = run_cli(
+        ["cache", "import", "--file", str(tmp_path / "missing.jsonl"), *cache], capsys
+    )
+    assert (code, out) == (1, "") and err.startswith("error:")
+
+
 def test_cache_stat_json(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CMZV_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(["cache", "stat", "--format", "json"], capsys)
@@ -280,7 +302,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(command="dim", N=0)
     with pytest.raises(ValueError):
-        RunConfig(command="dim", cutoff=0)
+        RunConfig(command="dim", precision=0)
     with pytest.raises(ValueError):
         RunConfig(command="dim", train_primes=0)
 
@@ -323,6 +345,6 @@ def test_console_script_help():
         [*cmzv, "dim", "--help"], capture_output=True, text=True, env=env
     )
     assert help_dim.returncode == 0
-    for flag in ("--format", "--primes", "--verify-primes", "--cutoff", "--prec",
+    for flag in ("--format", "--primes", "--verify-primes", "--prec",
                  "--seed", "--jobs"):
         assert flag in help_dim.stdout

@@ -217,6 +217,26 @@ def test_weights_validation():
         qsum_numeric(5, ix, weights=(1, 2))
 
 
+def test_precision_beyond_longdouble_goes_to_mpmath(monkeypatch):
+    # where longdouble is double, precision 64 must not round to 53 bits
+    import numpy as np
+
+    from cmzv import qsums, symmetric
+
+    monkeypatch.setattr(qsums, "LONGDOUBLE_BITS", 53)
+    assert qsums.float_types(53)[0] is np.float64
+    assert qsums.float_types(64) is None
+    entered = []
+    workprec = mpmath.workprec
+    monkeypatch.setattr(mpmath, "workprec", lambda bits: entered.append(bits) or workprec(bits))
+    monkeypatch.setattr(symmetric, "_MZV_CACHE", {})
+    ix = Index((2, 1), (1, 2), 3)
+    qsum_numeric(29, ix, precision=64)
+    truncated_cmzv_numeric(29, ix, 64)
+    symmetric.mzv_numeric(ix, symmetric.MzvEvalConfig(precision=64))
+    assert entered == [80, 80, 80]
+
+
 def test_default_precision_switch():
     assert default_precision(10**5) == 53
     assert default_precision(10**5 + 1) == 128

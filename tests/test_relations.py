@@ -174,7 +174,7 @@ def test_random_identities_hold_per_prime(data):
 
 
 def test_symmetric_linear_shuffle_report():
-    cfg = MzvEvalConfig(cutoff=10**4)
+    cfg = MzvEvalConfig()
     rep = check_linear_shuffle_symmetric(Word((0,), 1), Word((), 1), 1, cfg)
     # delta = 3 * (-2 pi^2/3); only defined modulo pi*i times a symmetric value
     assert not rep["symbolically_zero"]

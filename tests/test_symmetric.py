@@ -18,9 +18,17 @@ from cmzv.symmetric import (
     symmetric_cmzv,
     symmetric_pair_polynomial,
 )
-from cmzv.words import E_ZERO, Index, Word, harmonic_product, shuffle_product
+from cmzv.words import (
+    E_ZERO,
+    Index,
+    Word,
+    harmonic_product,
+    index_to_word,
+    indices_of_weight,
+    shuffle_product,
+)
 
-CFG = MzvEvalConfig(cutoff=10**5)
+CFG = MzvEvalConfig()
 
 ZETA2 = math.pi**2 / 6
 ZETA3 = 1.2020569031595943
@@ -36,8 +44,8 @@ def close(a, b, tol):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MzvEvalConfig(cutoff=999)
-    assert MzvEvalConfig().cutoff == 10**6
+        MzvEvalConfig(precision=0)
+    assert MzvEvalConfig().precision == 64
 
 
 def test_mzv_zeta2():
@@ -94,6 +102,81 @@ def test_mzv_accepts_words():
     w = Word((E_ZERO, 0), 1)  # the zeta(2) word
     v, tol = mzv_numeric(w, CFG)
     assert close(v, ZETA2, tol)
+
+
+# ---- accuracy against independent values ------------------------------------------
+
+F53 = MzvEvalConfig(precision=53)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 13, 17])
+def test_mzv_depth_one_against_polylog(N):
+    # from level 7 on |1 - zeta_N| < 1, so y = 1/(1 + delta) > 1/2; at levels
+    # 13 and 17 |1 - zeta_N| is even below 1/2
+    import mpmath
+
+    for precision in (53, 64):
+        cfg = MzvEvalConfig(precision=precision)
+        for k in (1, 2, 3):
+            for e in range(N):
+                if (k, e) == (1, 0):
+                    continue
+                with mpmath.workdps(30):
+                    ref = mpmath.polylog(k, mpmath.expjpi(mpmath.mpf(2 * e) / N))
+                v, tol = mzv_numeric(Index((k,), (e,), N), cfg)
+                assert abs(v - complex(ref)) <= tol, (N, k, e, precision)
+
+
+def _admissible_index(data, N, depth):
+    ks = tuple(data.draw(st.integers(1, 3)) for _ in range(depth))
+    es = tuple(data.draw(st.integers(0, N - 1)) for _ in range(depth))
+    if (ks[0], es[0]) == (1, 0):
+        ks = (2,) + ks[1:]
+    return Index(ks, es, N)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_mzv_stuffle_identities(data):
+    # zeta(u) zeta(v) = sum of zeta(w) over the stuffle u * v, at depth 2 and 3
+    N = data.draw(st.integers(1, 17))
+    u = _admissible_index(data, N, 1)
+    v = _admissible_index(data, N, data.draw(st.integers(1, 2)))
+    (a, ta), (b, tb) = mzv_numeric(u, F53), mzv_numeric(v, F53)
+    rhs, tol, size = 0j, ta * abs(b) + tb * abs(a) + ta * tb, abs(a * b)
+    for w, c in harmonic_product(index_to_word(u), index_to_word(v)):
+        val, t = mzv_numeric(w, F53)
+        rhs += c * val
+        tol += abs(c) * t
+        size += abs(c * val)
+    # the products and sums made here round too
+    assert abs(a * b - rhs) <= tol + 8 * 2.0**-53 * size
+
+
+def test_mzv_tolerance_at_double_precision():
+    for N in (1, 2, 3, 4, 6):
+        for weight in (1, 2, 3):
+            for ix in indices_of_weight(N, weight):
+                assert mzv_numeric(ix, F53)[1] <= 1e-12, ix
+
+
+def test_mzv_large_level_leaves_float64_range():
+    # at level 40 the columns x^n of this index overflow float64, so the
+    # sum is made again in mpmath; it agrees with the longdouble sum
+    ix = Index((1, 1, 1), (39, -19, 19), 40)
+    v53, t53 = mzv_numeric(ix, F53)
+    v64, t64 = mzv_numeric(ix, CFG)
+    assert math.isfinite(abs(v53)) and t53 <= 1e-12
+    assert abs(v53 - v64) <= t53 + t64
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_symmetric_values_of_the_level_three_table(alpha):
+    indices = [ix for w in (1, 2, 3) for ix in indices_of_weight(3, w, admissible_only=False)]
+    assert len(indices) == 63
+    for ix in indices:
+        s = symmetric_cmzv(alpha, ix, F53)
+        assert s.t_independent and s.tol <= 1e-9, ix
 
 
 # ---- RegPoly -------------------------------------------------------------------

@@ -113,13 +113,18 @@ def _ctx(level: int) -> _LevelContext:
 
 
 def _reduce_vector(vec: list[int], ctx: _LevelContext) -> list[int]:
-    """Fold coordinates of degree >= phi back onto the power basis."""
-    phi = ctx.phi
+    """Fold coordinates of degree >= phi back onto the power basis.
+
+    Degrees from the level up first wrap around, as z^level = 1.
+    """
+    phi, L = ctx.phi, ctx.level
+    if len(vec) > L:
+        vec = [sum(vec[i::L]) for i in range(L)]
     out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
     for k in range(phi, len(vec)):
         c = vec[k]
         if c:
-            row = ctx.pow_table[k % ctx.level]
+            row = ctx.pow_table[k]
             for i in range(phi):
                 out[i] += c * row[i]
     return out
@@ -147,20 +152,20 @@ def _normalize(vec, den: int):
     return vec, den
 
 
-def _cyc_mul(L: int, va: list[int], vb: list[int]) -> list[int]:
-    """Cyclic convolution of two length-L integer vectors.
+def _poly_mul(va, vb) -> list[int]:
+    """Product of two integer polynomials (constant term first).
 
     Kronecker substitution: both vectors are packed into big integers with
     digits wide enough for any product coefficient, and multiplied once.
     """
+    n = len(va) + len(vb) - 1
     amax = max(abs(x) for x in va)
     bmax = max(abs(x) for x in vb)
     if amax == 0 or bmax == 0:
-        return [0] * L
-    bound = L * amax * bmax
+        return [0] * n
+    bound = min(len(va), len(vb)) * amax * bmax
     db = (bound.bit_length() + 10) // 8 + 1  # bytes per digit, B/2 > bound
-    B = 1 << (8 * db)
-    half = B >> 1
+    half = 1 << (8 * db - 1)
 
     def pack(vec, positive):
         if positive:
@@ -171,17 +176,10 @@ def _cyc_mul(L: int, va: list[int], vb: list[int]) -> list[int]:
 
     A = pack(va, True) - pack(va, False)
     Bb = pack(vb, True) - pack(vb, False)
-    n2 = 2 * L
-    offset = int.from_bytes(half.to_bytes(db, "little") * n2, "little")
-    D = A * Bb + offset
-    raw = D.to_bytes(n2 * db + db, "little")
-    out = [0] * L
-    for i in range(n2 - 1):
-        d = int.from_bytes(raw[i * db : (i + 1) * db], "little") - half
-        if d:
-            j = i if i < L else i - L
-            out[j] += d
-    return out
+    # each digit of the offset product lies in (0, B), so no digit borrows
+    offset = int.from_bytes(half.to_bytes(db, "little") * n, "little")
+    raw = (A * Bb + offset).to_bytes(n * db, "little")
+    return [int.from_bytes(raw[i * db : (i + 1) * db], "little") - half for i in range(n)]
 
 
 class CycNum:
@@ -298,11 +296,7 @@ class CycNum:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        # valid mod x^L - 1 because Phi_L divides it
-        L = self.level
-        pad = [0] * (L - len(self.nums))
-        conv = _cyc_mul(L, [*self.nums, *pad], [*o.nums, *pad])
-        return _fold(L, conv, self.den * o.den)
+        return _fold(self.level, _poly_mul(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -1,13 +1,13 @@
 """Multiple harmonic q-sums at roots of unity, exact and numeric.
 
 The exact evaluator works at q = zeta_m with values in Q(zeta_L), L =
-lcm(m, N).  Internally elements are integer coefficient vectors modulo
-x^L - 1 (so multiplication is cyclic convolution, done by Kronecker
-substitution into one big-integer product); only the final answer is reduced
-into the power basis of Q(zeta_L).  The key identity keeping denominators
-small: for a primitive M-th root xi (M >= 2),
-
-    1/(1 - xi) = (1/M) * sum_{j=0}^{M-2} (M-1-j) xi^j.
+lcm(m, N).  Scaled by m^weight, the sum is an integer polynomial mod x^L - 1
+with coefficients below a height H computed in advance.  For primes
+p = 1 (mod L) below 2^31 it is evaluated at the L-th roots of unity mod p by
+one int64 nested sum and brought back to coefficients by the inverse
+transform; enough primes that their product exceeds 2H give it exactly by
+the Chinese remainder theorem, and only then is it reduced into the power
+basis of Q(zeta_L).
 
 Numeric mode evaluates at q = exp(2 pi i/m) with vectorized cumulative sums,
 using |[n]_q| = sin(pi n/m)/sin(pi/m) >= 1 for stability.
@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, _cyc_mul, _fold, _normalize
+from .cyclotomic import CycNum, _fold
+from .fq import is_prime
 from .words import Index, nested_sum
 
 EXACT_LEVEL_LIMIT = 1200
@@ -56,49 +57,97 @@ def _tick(k: int = 1):
             c.count += k
 
 
-# ---- exact engine: integer vectors mod x^L - 1 ------------------------------
+# ---- exact engine: evaluation at L-th roots of unity mod p, joined by CRT ----
+
+_PRIME_ROOTS: dict[int, list] = {}
 
 
-class _CycElt:
-    """vec/den with vec an integer vector mod x^L - 1."""
+def _prime_roots(L: int, count: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The first `count` primes p = 1 (mod L) below 2^31, counted down from it.
 
-    __slots__ = ("L", "vec", "den")
-
-    def __init__(self, L, vec, den=1):
-        self.L = L
-        self.vec, self.den = _normalize(vec, den)
-
-    def __mul__(self, other: "_CycElt") -> "_CycElt":
-        _tick()
-        return _CycElt(self.L, _cyc_mul(self.L, self.vec, other.vec), self.den * other.den)
-
-    def __add__(self, other: "_CycElt") -> "_CycElt":
-        g = math.gcd(self.den, other.den)
-        ca, cb = other.den // g, self.den // g
-        vec = [ca * x + cb * y for x, y in zip(self.vec, other.vec)]
-        return _CycElt(self.L, vec, self.den * ca)
-
-    def rot(self, t: int) -> "_CycElt":
-        """Multiply by zeta_L^t (an index rotation)."""
-        t %= self.L
-        if t == 0:
-            return self
-        vec = self.vec[-t:] + self.vec[:-t]
-        out = _CycElt.__new__(_CycElt)
-        out.L, out.vec, out.den = self.L, vec, self.den
-        return out
+    Each comes with w[t] = omega^t and inv[t] = 1/(1 - omega^t) mod p for
+    t = 0..L-1 (inv[0] unused), omega a primitive L-th root of unity mod p.
+    Memoised per L.
+    """
+    found = _PRIME_ROOTS.setdefault(L, [])
+    p = found[-1][0] - L if found else 1 + (2**31 - 2) // L * L
+    while len(found) < count:
+        if is_prime(p):
+            for a in range(2, p):
+                w = [1]
+                root = pow(a, (p - 1) // L, p)
+                for _ in range(L - 1):
+                    w.append(w[-1] * root % p)
+                if 1 not in w[1:]:  # omega has order exactly L
+                    break
+            inv = [0] + [pow(1 - x, p - 2, p) for x in w[1:]]
+            found.append((p, np.array(w, dtype=np.int64), np.array(inv, dtype=np.int64)))
+        p -= L
+    return found[:count]
 
 
-def _inv_one_minus_root(L: int, u: int) -> _CycElt:
-    """1/(1 - zeta_L^u) for u != 0 mod L."""
-    u %= L
-    if u == 0:
-        raise ZeroDivisionError("1 - zeta^0 is zero")
-    M = L // math.gcd(L, u)
-    vec = [0] * L
-    for j in range(M - 1):
-        vec[(j * u) % L] += M - 1 - j
-    return _CycElt(L, vec, M)
+def _scaled_sum_mod(m: int, index: Index, p: int, w, inv) -> np.ndarray:
+    """m^weight * S mod p, S the q-sum as a vector mod x^L - 1, L = len(w).
+
+    With sm = L/m, u = sm n and M = m/gcd(m, n), 1/[n] = (1 - x^sm) P(x^u)/M
+    for P(y) = sum_{i<M-1} (M-1-i) y^i, as 1/(1 - y) = P(y)/M at y^M = 1 != y.
+    So m^k times slot j's term is the integer polynomial
+    (m/M)^k (1 - x^sm)^k P(x^u)^k x^(sn e n).  At x = omega^i, P(x^u) is
+    M/(1 - omega^(i u)), or M(M-1)/2 where omega^(i u) = 1.  One int64
+    nested_sum over (L, m-1) columns sums at all L points, and the inverse
+    transform L^-1 sum_i S_i omega^(-i j) gives the coefficients.
+    """
+    L, N = len(w), index.level
+    sm, sn = L // m, L // N
+    i = np.arange(L)[:, None]
+    n = np.arange(1, m)
+    M = m // np.gcd(m, n)
+    t = i * (sm * n) % L
+    base = np.where(t == 0, (m // M) * (M * (M - 1) // 2) % p, m * inv[t] % p)
+    base = base * ((1 - w[i * sm % L]) % p) % p
+    powers = [base]  # powers[k - 1] = base^k, grown only as far as the columns need
+
+    def column(j):
+        k, e = index.ks[j], index.es[j]
+        while len(powers) < k:
+            powers.append(powers[-1] * base % p)
+        return powers[k - 1] * w[i * (sn * e * n % L) % L] % p
+
+    values = nested_sum(index.depth, column, p)
+    # split the values at 16 bits so each row sum stays below L * 2^47 < 2^63
+    back = w[-np.outer(i, i) % L]
+    lo, hi = (back @ (values & 0xFFFF)) % p, (back @ (values >> 16)) % p
+    return (hi * 0x10000 + lo) % p * pow(L, p - 2, p) % p
+
+
+def _height(m: int, index: Index) -> int:
+    """A bound on the coefficients of m^weight * S mod x^L - 1.
+
+    The l1 norm is submultiplicative under cyclic convolution, so the scaled
+    term of _scaled_sum_mod has l1 norm at most (m/M)^k 2^k (M(M-1)/2)^k =
+    (m(M-1))^k, and the nested sum of these bounds the l1 norm of the sum.
+    """
+
+    def column(j):
+        k = index.ks[j]
+        return np.array([(m * (m // math.gcd(m, n) - 1)) ** k for n in range(1, m)], dtype=object)
+
+    return int(nested_sum(index.depth, column))
+
+
+def _scaled_sum(m: int, index: Index, count: int) -> list[int]:
+    """m^weight * S mod x^L - 1 by CRT over `count` primes, lifted to (-P/2, P/2].
+
+    Exact once the product P of the primes exceeds twice _height(m, index).
+    """
+    L = math.lcm(m, index.level)
+    x, P = [0] * L, 1
+    for p, w, inv in _prime_roots(L, count):
+        c = pow(P, -1, p)
+        residues = _scaled_sum_mod(m, index, p, w, inv).tolist()
+        x = [a + P * ((b - a) * c % p) for a, b in zip(x, residues)]
+        P *= p
+    return [a - P if 2 * a > P else a for a in x]
 
 
 def qsum_exact(m: int, index: Index) -> CycNum:
@@ -120,24 +169,14 @@ def qsum_exact(m: int, index: Index) -> CycNum:
         return CycNum.one(L)
     if r >= m:
         return CycNum.zero(L)
-    sm = L // m  # zeta_m = zeta_L^sm
-    sn = L // N  # zeta_N = zeta_L^sn
-    vec = [0] * L
-    vec[0] = 1
-    vec[sm] -= 1
-    one_minus_q = _CycElt(L, vec)
-    # powers[k - 1][n - 1] = 1/[n]^k, grown only as far as the columns need
-    powers = [[one_minus_q * _inv_one_minus_root(L, sm * n) for n in range(1, m)]]
-
-    def column(j):
-        k, e = index.ks[j], index.es[j]
-        while len(powers) < k:
-            powers.append([a * b for a, b in zip(powers[-1], powers[0])])
-        terms = [t.rot(sn * e * n) for n, t in enumerate(powers[k - 1], 1)]
-        return np.array(terms, dtype=object)
-
-    total = nested_sum(r, column)
-    return _fold(L, total.vec, total.den)
+    # the ring products of the recurrence: the powers 1/[n]^k up to the
+    # largest k, then one product per term of every slot but the innermost
+    _tick(max(index.ks) * (m - 1) + sum(m - 1 - j for j in range(1, r)))
+    bound, count, P = 2 * _height(m, index), 0, 1
+    while P <= bound:
+        count += 1
+        P *= _prime_roots(L, count)[-1][0]
+    return _fold(L, _scaled_sum(m, index, count), m**index.weight)
 
 
 # ---- numeric engine ----------------------------------------------------------

@@ -1,16 +1,23 @@
 """Multiple harmonic q-sums: exact cyclotomic engine, numeric engine, probes."""
 
+import itertools
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmzv.cyclotomic import CycNum, embed_complex
 from cmzv.qsums import (
     EXACT_LEVEL_LIMIT,
+    _height,
+    _prime_roots,
+    _scaled_sum,
     asymptotic_probe,
     default_precision,
     field_op_counter,
@@ -107,6 +114,121 @@ def test_exact_level_limit_enforced():
 def test_exact_rejects_bad_m():
     with pytest.raises(ValueError):
         qsum_exact(0, Index((1,), (0,), 1))
+
+
+def brute_qsum(m, ix):
+    """The q-sum term by term in CycNum arithmetic, over every m > n_1 > ... > n_r > 0."""
+    L = math.lcm(m, ix.level)
+    one, q = CycNum.one(L), CycNum.root_power(L, L // m)
+    inv_bracket = [None] + [(one - q) / (one - q**n) for n in range(1, m)]
+    total = CycNum.zero(L)
+    for ns in itertools.combinations(range(m - 1, 0, -1), ix.depth):
+        term = one
+        for n, k, e in zip(ns, ix.ks, ix.es):
+            term = term * inv_bracket[n] ** k * CycNum.root_power(L, L // ix.level * e * n)
+        total = total + term
+    return total
+
+
+@st.composite
+def oracle_cases(draw):
+    N = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 12))
+    r = draw(st.integers(0, 3))
+    ks = tuple(draw(st.integers(1, 3)) for _ in range(r))
+    es = tuple(draw(st.integers(0, N - 1)) for _ in range(r))
+    return m, Index(ks, es, N)
+
+
+@given(oracle_cases())
+@example((9, Index((2, 1), (0, 0), 1)))  # N = 1
+@example((12, Index((1, 3, 2), (2, 0, 1), 3)))  # N | m
+@example((3, Index((2, 1), (5, 3), 6)))  # m | N
+@example((4, Index((1, 2, 3), (1, 0, 1), 2)))  # r = m - 1
+@settings(max_examples=30, deadline=None)
+def test_exact_matches_brute_force_oracle(case):
+    m, ix = case
+    assert qsum_exact(m, ix) == brute_qsum(m, ix)
+
+
+REFERENCE = Path(__file__).parent / "data" / "qsum_exact_reference.json"
+
+
+def test_exact_matches_frozen_reference():
+    # values of the former evaluator (big-integer vectors multiplied term by
+    # term): the seven q-sums of the benchmark's evals workload at its first
+    # colour, and one of weight 6 that takes four primes
+    with open(REFERENCE, encoding="utf-8") as fh:
+        records = json.load(fh)
+    for rec in records:
+        ix = Index(tuple(rec["ks"]), tuple(rec["es"]), rec["level"])
+        assert qsum_exact(rec["m"], ix) == CycNum(rec["L"], rec["nums"], rec["den"])
+    m, ix = 300, Index((3, 2, 1), (1, 2, 0), 3)
+    primes = [p for p, _, _ in _prime_roots(300, 4)]
+    assert math.prod(primes[:3]) <= 2 * _height(m, ix) < math.prod(primes)
+
+
+def cyclic_mul(a, b):
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % len(a)] += x * y
+    return out
+
+
+def brute_scaled_sum(m, ix):
+    """m^weight * S mod x^L - 1, the term polynomials multiplied out one by one."""
+    L = math.lcm(m, ix.level)
+    sm, sn = L // m, L // ix.level
+    total = [0] * L
+    for ns in itertools.combinations(range(m - 1, 0, -1), ix.depth):
+        prod = [1] + [0] * (L - 1)
+        for n, k, e in zip(ns, ix.ks, ix.es):
+            M = m // math.gcd(m, n)
+            scaled = [0] * L  # (m/M) (1 - x^sm) P(x^(sm n)), P as in _scaled_sum_mod
+            for i in range(M - 1):
+                scaled[i * sm * n % L] += m // M * (M - 1 - i)
+                scaled[(i * sm * n + sm) % L] -= m // M * (M - 1 - i)
+            t = L - sn * e * n % L  # times x^(sn e n)
+            prod = prod[t:] + prod[:t]
+            for _ in range(k):
+                prod = cyclic_mul(prod, scaled)
+        total = [a + b for a, b in zip(total, prod)]
+    return total
+
+
+def prime_count(m, ix):
+    count, P = 0, 1
+    while P <= 2 * _height(m, ix):
+        count += 1
+        P *= _prime_roots(math.lcm(m, ix.level), count)[-1][0]
+    return count
+
+
+@given(oracle_cases())
+@settings(max_examples=30, deadline=None)
+def test_exact_prefold_vector_is_the_scaled_term_sum(case):
+    m, ix = case
+    if not 0 < ix.depth < m:
+        return
+    assert _scaled_sum(m, ix, prime_count(m, ix)) == brute_scaled_sum(m, ix)
+
+
+def test_exact_reconstruction_within_height_bound():
+    rng = random.Random(5)
+    for _ in range(25):
+        N, m, r = rng.randint(1, 6), rng.randint(2, 60), rng.randint(1, 3)
+        ix = Index(
+            tuple(rng.randint(1, 4) for _ in range(r)),
+            tuple(rng.randrange(N) for _ in range(r)),
+            N,
+        )
+        if r >= m:
+            continue
+        count = prime_count(m, ix)
+        vec = _scaled_sum(m, ix, count)
+        assert _scaled_sum(m, ix, count + 1) == vec
+        assert max(abs(c) for c in vec) <= _height(m, ix)
 
 
 # ---- algebra relations (the load-bearing invariants) --------------------------
@@ -299,6 +421,16 @@ def test_exact_op_count_scales_linearly():
     bound = (ix.depth + max(ix.ks) + 1)
     assert counts[40] <= bound * 40
     assert counts[40] <= 2.5 * counts[20]
+
+
+def test_exact_op_count_pinned():
+    # one tick per ring product of the recurrence, as counted by the former
+    # term-by-term evaluator: the 1/[n]^k powers and the slot products
+    ix = Index((2, 1), (1, 0), 3)
+    for m, count in ((20, 56), (40, 116)):
+        with field_op_counter() as c:
+            qsum_exact(m, ix)
+        assert c.count == count
 
 
 # ---- asymptotic probe --------------------------------------------------------------

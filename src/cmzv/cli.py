@@ -180,11 +180,13 @@ def _cmd_sym(args, config: RunConfig, out: _Out) -> int:
     return 0
 
 
-def _cmd_dim(args, config: RunConfig, out: _Out) -> int:
-    from .relations import DimConfig, dimension_table
-    from .finite import format_congruence_index
+def _dim_config(args, config: RunConfig):
+    """The DimConfig of a dim run; ValueError for options it cannot take."""
+    from .relations import DimConfig
 
-    dconf = DimConfig(
+    if math.gcd(args.twist, args.N) != 1:
+        raise ValueError("--twist must be coprime to --N")
+    return DimConfig(
         train_primes=config.train_primes,
         verify_primes=config.verify_primes,
         height_bound=args.height_bound,
@@ -193,7 +195,13 @@ def _cmd_dim(args, config: RunConfig, out: _Out) -> int:
         cache_dir=config.cache_dir,
         jobs=config.jobs,
     )
-    reports = dimension_table(args.N, config.alpha, args.wmax, dconf)
+
+
+def _cmd_dim(args, config: RunConfig, out: _Out) -> int:
+    from .relations import dimension_table
+    from .finite import format_congruence_index
+
+    reports = dimension_table(args.N, config.alpha, args.wmax, _dim_config(args, config))
     header = ("weight", "generators", "exact_relation_rank", "lll_extra_relations", "dim",
               "mt_dim", "under_determined")
     rows = [(r.weight, r.generator_count, r.exact_relation_rank, r.lll_extra_relations,
@@ -235,7 +243,7 @@ def _cmd_mtdim(args, config: RunConfig, out: _Out) -> int:
 def _cmd_check(args, config: RunConfig, out: _Out) -> int:
     from .finite import primes_in_class
     from .relations import check_linear_shuffle_finite, check_reversal_finite
-    from .words import E_ZERO, Index, Word
+    from .words import E_ZERO, Index, Word, format_index
 
     rng = random.Random(config.seed)
     failures = []
@@ -254,7 +262,7 @@ def _cmd_check(args, config: RunConfig, out: _Out) -> int:
         for p, ok in check_reversal_finite(ix, pclass).items():
             if not ok:
                 failures.append({"kind": "reversal", "N": N, "alpha": alpha, "p": p,
-                                 "index": f"k={','.join(map(str, ks))};e={','.join(map(str, es))}"})
+                                 "index": format_index(ix)})
         alphabet = [E_ZERO] + list(range(N))
         a = rng.randint(1, max(1, args.wmax - 1))
         b = args.wmax - 1 - a
@@ -436,6 +444,11 @@ def main(argv=None) -> int:
             jobs=args.jobs,
             seed=args.seed,
         )
+        # options only the subcommand can judge are usage errors too
+        if args.command == "dim":
+            _dim_config(args, config)
+        if args.command == "check" and args.wmax < 1:
+            raise ValueError("--wmax must be at least 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

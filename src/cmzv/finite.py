@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fq import BadPrimeError, Fq, FqContext, inverse_table, is_prime, make_fq_context
-from .words import Index, format_index, nested_sum
+from .words import Index, _parse_fields, format_index, nested_sum
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,12 @@ class CongruenceIndex:
 
 
 def format_congruence_index(cix: CongruenceIndex) -> str:
-    ks = ",".join(str(k) for k in cix.ks)
-    fs = ",".join(str(f) for f in cix.fs)
-    return f"k={ks};f={fs}"
+    return f"k={','.join(map(str, cix.ks))};f={','.join(map(str, cix.fs))}"
 
 
 def parse_congruence_index(text: str, level: int) -> CongruenceIndex:
-    parts = dict(
-        (chunk.split("=", 1)[0].strip(), chunk.split("=", 1)[1]) for chunk in text.split(";")
-    )
-    if set(parts) != {"k", "f"}:
-        raise ValueError(f"expected 'k=..;f=..', got {text!r}")
-    ks = tuple(int(x) for x in parts["k"].split(",") if x.strip())
-    fs = tuple(int(x) for x in parts["f"].split(",") if x.strip())
-    return CongruenceIndex(ks, fs, level)
+    """Parse 'k=2,1;f=0,2' into a CongruenceIndex at the given level."""
+    return CongruenceIndex(*_parse_fields(text, "kf"), level)
 
 
 # ---- per-prime residues ---------------------------------------------------------

@@ -116,17 +116,24 @@ def enumerate_generators(N: int, weight: int, model: str = "congruence") -> list
 
 
 def reversal_relations_congruence(N: int, weight: int, alpha: int) -> list[dict]:
-    """Rows over Q from the substitution m -> p - m inside the truncated sum."""
+    """The reversal family over Q in reduced echelon form, in generator order.
+
+    The substitution m -> p - m inside the truncated sum gives
+    g = (-1)^w g' for g' = g.reversed_class(alpha), an involution.  The
+    earlier generator of a pair is the pivot, first in its row
+    {g: 1, g': -(-1)^w}; a fixed point gives {g: 1} at odd weight and no row
+    at even weight.
+    """
+    gens = enumerate_generators(N, weight, "congruence")
+    order = {g: i for i, g in enumerate(gens)}
+    sign = Fraction(-1 if weight % 2 else 1)
     rows = []
-    sign = -1 if weight % 2 else 1
-    for cix in enumerate_generators(N, weight, "congruence"):
-        row = {}
-        row[cix] = row.get(cix, Fraction(0)) + 1
-        rev = cix.reversed_class(alpha)
-        row[rev] = row.get(rev, Fraction(0)) - sign
-        row = {g: c for g, c in row.items() if c}
-        if row:
-            rows.append(row)
+    for g in gens:
+        rev = g.reversed_class(alpha)
+        if order[rev] > order[g]:
+            rows.append({g: Fraction(1), rev: -sign})
+        elif rev == g and weight % 2:
+            rows.append({g: Fraction(1)})
     return rows
 
 
@@ -147,29 +154,6 @@ def linear_shuffle_row(u: Word, v: Word) -> dict:
     sign = Fraction(1 if len(v.letters) % 2 == 0 else -1)  # -(-1)^(|v|+1)
     row[ix] = row.get(ix, Fraction(0)) + sign
     return {g: c for g, c in row.items() if c}
-
-
-def _echelon(rows: list[dict], order: dict) -> dict:
-    """Sparse Gaussian elimination over Q; returns the pivot rows, gen -> row."""
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row, key=lambda g: order[g])
-            hit = pivots.get(lead)
-            if hit is None:
-                inv = 1 / Fraction(row[lead])
-                row = {g: c * inv for g, c in row.items()}
-                pivots[lead] = row
-                break
-            factor = row[lead]
-            for g, c in hit.items():
-                nc = row.get(g, 0) - factor * c
-                if nc == 0:
-                    row.pop(g, None)
-                else:
-                    row[g] = nc
-    return pivots
 
 
 # ---- per-prime checks of the proven families ----------------------------------------
@@ -380,6 +364,14 @@ class DimConfig:
     cache_dir: str | None = None
     jobs: int = 1
 
+    def __post_init__(self):
+        # with no held-out prime nothing is verified, and a height below 1
+        # certifies nothing: either would give dimensions with no evidence
+        if self.height_bound < 1:
+            raise ValueError("height_bound must be at least 1")
+        if self.train_primes < 1 or self.verify_primes < 1:
+            raise ValueError("need at least one training and one held-out prime")
+
 
 @dataclass(frozen=True)
 class DimensionReport:
@@ -467,11 +459,9 @@ def dimension_table(
             verify_n = min(config.verify_primes, avail // 3)
             split = (avail - verify_n, verify_n)
 
-        index = {g: i for i, g in enumerate(gens)}
         rows = reversal_relations_congruence(N, weight, alpha)
-        pivots = _echelon(rows, index)
-        rows = [row for _, row in sorted(pivots.items(), key=lambda kv: index[kv[0]])]
         _check_exact_rows(rows, gens, table)  # the family is proven; fail loudly
+        pivots = [next(iter(row)) for row in rows]
         found = discover_relations_lll(table, config.height_bound, split, skip=pivots)
         b_cert = found.b_cert
         uncertified = b_cert is not None and b_cert < config.height_bound

@@ -31,6 +31,7 @@ from .qsums import float_types
 from .words import (
     Index,
     Word,
+    _run,
     cumulate_roots,
     difference_roots,
     harmonic_regularize,
@@ -388,9 +389,7 @@ def regularization_relation_residual(
     if not w.is_index_word:
         raise ValueError("needs a word ending in a root letter")
     left = harmonic_regularized_mzv(w, cfg)
-    lead = 0
-    while lead < len(w.letters) and w.letters[lead] == 0:
-        lead += 1
+    lead = _run(w.letters, 0)
     lam = reg_correction_coefficients(max(2, lead))
     right = RegPoly((0j,), 0.0)
     for n in range(lead + 1):

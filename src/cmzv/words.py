@@ -3,9 +3,9 @@
 A word is a sequence of letters over the alphabet consisting of e_0 and one
 letter per N-th root of unity (stored as the exponent a, meaning zeta_N^a).
 Words ending in a root letter biject with indices (k_1..k_r; a_1..a_r) via
-blocks e_0^(k-1) * root(a).  The module provides the harmonic (quasi-shuffle)
-and shuffle products, the cumulate/difference root rewrites, and the two
-regularization decompositions used by the evaluators.
+blocks e_0^(k-1) * root(a).  The module provides the harmonic and shuffle
+products (one quasi-shuffle table), the cumulate/difference root rewrites,
+and the two regularization decompositions (one peel) used by the evaluators.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ class Word:
     @property
     def is_admissible(self) -> bool:
         """Index word whose leading block is not the single letter root(0)."""
-        if not self.is_index_word:
-            return False
-        return not self.letters or self.letters[0] != 0
+        return self.is_index_word and (not self.letters or self.letters[0] != 0)
 
     def blocks(self):
         """Decompose an index word into (k, a) blocks."""
@@ -186,22 +184,21 @@ def word_to_index(w: Word) -> Index:
 
 
 def format_index(ix: Index) -> str:
-    return "k=%s;e=%s" % (
-        ",".join(str(k) for k in ix.ks),
-        ",".join(str(e) for e in ix.es),
-    )
+    return f"k={','.join(map(str, ix.ks))};e={','.join(map(str, ix.es))}"
+
+
+def _parse_fields(text: str, keys: str) -> list[tuple[int, ...]]:
+    """The integer lists of text such as 'k=2,1;e=0,2' (keys 'ke'), in key order."""
+    chunks = [chunk.split("=", 1) for chunk in text.replace(" ", "").split(";") if chunk]
+    if sorted(c[0] for c in chunks) != sorted(keys) or min(map(len, chunks)) < 2:
+        raise ValueError(f"expected '{keys[0]}=...;{keys[1]}=...', got {text!r}")
+    parts = dict(chunks)
+    return [tuple(int(t) for t in parts[k].split(",") if t) for k in keys]
 
 
 def parse_index(text: str, level: int) -> Index:
     """Parse 'k=2,1;e=0,2' into an Index at the given level."""
-    parts = dict(
-        chunk.split("=", 1) for chunk in text.replace(" ", "").split(";") if chunk
-    )
-    if set(parts) != {"k", "e"}:
-        raise ValueError(f"expected 'k=...;e=...', got {text!r}")
-    ks = tuple(int(t) for t in parts["k"].split(",") if t)
-    es = tuple(int(t) for t in parts["e"].split(",") if t)
-    return Index(ks, es, level)
+    return Index(*_parse_fields(text, "ke"), level)
 
 
 def indices_of_weight(level: int, weight: int, admissible_only: bool = True):
@@ -229,31 +226,33 @@ def indices_of_weight(level: int, weight: int, admissible_only: bool = True):
 # ---- linear combinations ---------------------------------------------------
 
 
+def _madd(d: dict, key, c):
+    """d[key] += c, dropping the key when the sum is zero."""
+    cur = d.get(key)
+    tot = c if cur is None else cur + c
+    if tot:
+        d[key] = tot
+    elif key in d:
+        del d[key]
+
+
 class LinComb:
     """Finite linear combination of words; zero coefficients are dropped.
 
     Coefficients may be ints, Fractions, or any ring elements supporting
-    +, *, and truthiness.
+    +, *, and truthiness.  Terms keep the order in which they first appeared.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    cur = data.get(w)
-                    tot = c if cur is None else cur + c
-                    if tot:
-                        data[w] = tot
-                    elif w in data:
-                        del data[w]
-        self.terms = data
+        self.terms = {}
+        for w, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            _madd(self.terms, w, c)
 
     @classmethod
     def single(cls, w: Word, coeff=1) -> "LinComb":
-        return cls({w: coeff} if coeff else {})
+        return cls({w: coeff})
 
     def __iter__(self):
         return iter(self.terms.items())
@@ -265,26 +264,15 @@ class LinComb:
         return bool(self.terms)
 
     def __add__(self, other):
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = data.get(w)
-            tot = c if cur is None else cur + c
-            if tot:
-                data[w] = tot
-            elif w in data:
-                del data[w]
-        out = LinComb()
-        out.terms = data
-        return out
+        return LinComb([*self, *other])
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinComb":
-        if not c:
-            return LinComb()
         out = LinComb()
-        out.terms = {w: c * k for w, k in self.terms.items()}
+        if c:
+            out.terms = {w: c * k for w, k in self.terms.items()}
         return out
 
     def __eq__(self, other):
@@ -300,122 +288,93 @@ class LinComb:
         return f"LinComb({bits})"
 
 
-def _madd(d: dict, key, c):
-    cur = d.get(key)
-    tot = c if cur is None else cur + c
-    if tot:
-        d[key] = tot
-    elif key in d:
-        del d[key]
+# ---- the quasi-shuffle product -----------------------------------------------
+#
+# Both products are quasi-shuffles (Hoffman, "Quasi-shuffle products",
+# J. Algebraic Combin. 11 (2000)): the harmonic product on (k, a) blocks with
+# the bracket that merges two heads into (k + k', a + a'), the shuffle on
+# letters with the zero bracket.
+
+_PRODUCT_CACHE: dict = {}
 
 
-# ---- the two products ------------------------------------------------------
-
-_STUFFLE_CACHE: dict = {}
-_SHUFFLE_CACHE: dict = {}
+def _block_bracket(level, x, y):
+    return (x[0] + y[0], (x[1] + y[1]) % level)
 
 
-def _stuffle_blocks(level, bu, bv):
-    """Quasi-shuffle of two block tuples; returns {block-tuple: int}."""
-    if bu > bv:
-        bu, bv = bv, bu
-    key = (level, bu, bv)
-    hit = _STUFFLE_CACHE.get(key)
+def _product_table(level, u, v, bracket):
+    """Quasi-shuffle of two tuples (of blocks or letters); {tuple: int}.
+
+    Bottom-up over suffix pairs, table[i][j] = u[i:] * v[j:]: the head of u,
+    then the head of v, then their bracket (none when bracket is None), each
+    followed by the product of what is left.
+    """
+    if u > v:
+        u, v = v, u
+    key = (level, u, v, bracket)
+    hit = _PRODUCT_CACHE.get(key)
     if hit is not None:
         return hit
-    ru, rv = len(bu), len(bv)
-    # bottom-up over suffix pairs: table[i][j] = bu[i:] * bv[j:]
-    table = [[None] * (rv + 1) for _ in range(ru + 1)]
-    for i in range(ru, -1, -1):
-        for j in range(rv, -1, -1):
-            if i == ru:
-                table[i][j] = {bv[j:]: 1}
-            elif j == rv:
-                table[i][j] = {bu[i:]: 1}
-            else:
-                out: dict = {}
-                head_u, head_v = bu[i], bv[j]
-                for tail, c in table[i + 1][j].items():
-                    _madd(out, (head_u,) + tail, c)
-                for tail, c in table[i][j + 1].items():
-                    _madd(out, (head_v,) + tail, c)
-                merged = (head_u[0] + head_v[0], (head_u[1] + head_v[1]) % level)
-                for tail, c in table[i + 1][j + 1].items():
-                    _madd(out, (merged,) + tail, c)
-                table[i][j] = out
-    res = table[0][0]
-    _STUFFLE_CACHE[key] = res
-    return res
-
-
-def _shuffle_letters(level, lu, lv):
-    """Shuffle of two letter tuples; returns {letter-tuple: int}."""
-    if lu > lv:
-        lu, lv = lv, lu
-    key = (level, lu, lv)
-    hit = _SHUFFLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    nu, nv = len(lu), len(lv)
+    nu, nv = len(u), len(v)
     table = [[None] * (nv + 1) for _ in range(nu + 1)]
     for i in range(nu, -1, -1):
         for j in range(nv, -1, -1):
-            if i == nu:
-                table[i][j] = {lv[j:]: 1}
-            elif j == nv:
-                table[i][j] = {lu[i:]: 1}
+            if i == nu or j == nv:
+                table[i][j] = {u[i:] + v[j:]: 1}
+                continue
+            heads = [(u[i], table[i + 1][j]), (v[j], table[i][j + 1])]
+            if bracket is not None:
+                heads.append((bracket(level, u[i], v[j]), table[i + 1][j + 1]))
+            out: dict = {}
+            for head, tails in heads:
+                for tail, c in tails.items():
+                    _madd(out, (head,) + tail, c)
+            table[i][j] = out
+    _PRODUCT_CACHE[key] = table[0][0]
+    return table[0][0]
+
+
+def _product(u, v, harmonic: bool) -> LinComb:
+    """The harmonic or shuffle product of Words or LinCombs, bilinearly."""
+    out = LinComb()
+    for wu, cu in u if isinstance(u, LinComb) else [(u, 1)]:
+        for wv, cv in v if isinstance(v, LinComb) else [(v, 1)]:
+            level = wu.level
+            if wv.level != level:
+                raise ValueError("level mismatch")
+            if not harmonic:
+                res = _product_table(level, wu.letters, wv.letters, None)
+                terms = [(Word(ls, level), c) for ls, c in res.items()]
+            elif wu.is_index_word and wv.is_index_word:
+                res = _product_table(level, wu.blocks(), wv.blocks(), _block_bracket)
+                terms = [(Word.from_blocks(b, level), c) for b, c in res.items()]
             else:
-                out: dict = {}
-                for tail, c in table[i + 1][j].items():
-                    _madd(out, (lu[i],) + tail, c)
-                for tail, c in table[i][j + 1].items():
-                    _madd(out, (lv[j],) + tail, c)
-                table[i][j] = out
-    res = table[0][0]
-    _SHUFFLE_CACHE[key] = res
-    return res
+                raise ValueError("harmonic product requires words ending in a root letter")
+            for w, c in terms:
+                _madd(out.terms, w, cu * cv * c)
+    return out
 
 
-def _as_lincomb(x) -> LinComb:
-    return x if isinstance(x, LinComb) else LinComb.single(x)
+def _power(w: Word, n: int, harmonic: bool) -> LinComb:
+    acc = LinComb.single(Word.empty(w.level))
+    for _ in range(n):
+        acc = _product(acc, w, harmonic)
+    return acc
 
 
 def harmonic_product(u, v) -> LinComb:
     """Quasi-shuffle product; accepts Words or LinCombs of index words."""
-    if isinstance(u, Word) and isinstance(v, Word):
-        if u.level != v.level:
-            raise ValueError("level mismatch")
-        if not (u.is_index_word and v.is_index_word):
-            raise ValueError("harmonic product requires words ending in a root letter")
-        res = _stuffle_blocks(u.level, u.blocks(), v.blocks())
-        return LinComb({Word.from_blocks(b, u.level): c for b, c in res.items()})
-    acc = LinComb()
-    for wu, cu in _as_lincomb(u):
-        for wv, cv in _as_lincomb(v):
-            acc = acc + harmonic_product(wu, wv).scale(cu * cv)
-    return acc
+    return _product(u, v, True)
 
 
 def shuffle_product(u, v) -> LinComb:
     """Shuffle product on letters; accepts Words or LinCombs."""
-    if isinstance(u, Word) and isinstance(v, Word):
-        if u.level != v.level:
-            raise ValueError("level mismatch")
-        res = _shuffle_letters(u.level, u.letters, v.letters)
-        return LinComb({Word(ls, u.level): c for ls, c in res.items()})
-    acc = LinComb()
-    for wu, cu in _as_lincomb(u):
-        for wv, cv in _as_lincomb(v):
-            acc = acc + shuffle_product(wu, wv).scale(cu * cv)
-    return acc
+    return _product(u, v, False)
 
 
 def harmonic_power(w: Word, n: int) -> LinComb:
     """n-fold harmonic product of a word with itself (n >= 0)."""
-    acc = LinComb.single(Word.empty(w.level))
-    for _ in range(n):
-        acc = harmonic_product(acc, w)
-    return acc
+    return _power(w, n, True)
 
 
 # ---- root rewrites and reversal --------------------------------------------
@@ -450,60 +409,49 @@ def difference_roots(w: Word) -> Word:
 # ---- regularization --------------------------------------------------------
 
 
-def _leading_root0(w: Word) -> int:
+def _run(letters, a) -> int:
+    """Length of the leading run of the letter a."""
     n = 0
-    for a in w.letters:
-        if a == 0:
-            n += 1
-        else:
-            break
+    while n < len(letters) and letters[n] == a:
+        n += 1
     return n
 
 
-def _trailing_zero(w: Word) -> int:
-    n = 0
-    for a in reversed(w.letters):
-        if a == E_ZERO:
-            n += 1
-        else:
-            break
-    return n
+def _peel(pending: dict, harmonic: bool) -> list[tuple[int, LinComb]]:
+    """Decompose sum(c * t) as sum_j c_j * root(0)^j (j-th power) with every
+    c_j admissible; returns [(degree, LinComb)] sorted by degree.
+
+    Peels leading root(0) letters (Ihara, Kaneko and Zagier, Compositio Math.
+    142 (2006)): with n of them and tail u, the product u * root(0)^n (n-th
+    power) is n! t plus words with fewer leading root(0) letters, so t is
+    c/n! u at degree n less c/n! times the rest, and induction on that count
+    terminates.
+    """
+    acc: dict[int, dict[Word, Fraction]] = {}
+    while pending:
+        t, c = pending.popitem()
+        n = _run(t.letters, 0)
+        u = Word(t.letters[n:], t.level)
+        fact = math.factorial(n)
+        _madd(acc.setdefault(n, {}), u, c / fact)
+        if not n:
+            continue
+        expanded = _product(u, _power(Word((0,), t.level), n, harmonic), harmonic)
+        assert expanded.terms.get(t) == fact
+        for s, k in expanded:
+            if s != t:
+                _madd(pending, s, -c * k / fact)
+    return [(j, LinComb(acc[j])) for j in sorted(acc) if acc[j]]
 
 
 def harmonic_regularize(w: Word) -> list[tuple[int, LinComb]]:
     """Decompose w = sum_j c_j * root(0)^(*j) with every c_j admissible.
 
     Returns [(degree, LinComb)] sorted by degree; coefficients are Fractions.
-    Peels leading root(0) letters: with n of them and tail u, the harmonic
-    product u * root(0)^(*n) equals n! w plus words with fewer leading
-    root(0) letters, so induction on that count terminates.
     """
     if not w.is_index_word:
         raise ValueError("harmonic regularization needs a word ending in a root letter")
-    level = w.level
-    one = Word((0,), level)
-    acc: dict[int, dict[Word, Fraction]] = {}
-    pending: dict[Word, Fraction] = {w: Fraction(1)}
-    while pending:
-        t, c = pending.popitem()
-        n = _leading_root0(t)
-        if n == 0:
-            _madd(acc.setdefault(0, {}), t, c)
-            continue
-        u = Word(t.letters[n:], level)
-        fact = math.factorial(n)
-        _madd(acc.setdefault(n, {}), u, c / fact)
-        expanded = harmonic_product(harmonic_power(one, n), LinComb.single(u))
-        assert expanded.terms.get(t) == fact
-        for s, k in expanded:
-            if s != t:
-                _madd(pending, s, Fraction(-c * k, fact))
-    rows = []
-    for j in sorted(acc):
-        lc = LinComb(acc[j])
-        if lc:
-            rows.append((j, lc))
-    return rows
+    return _peel({w: Fraction(1)}, True)
 
 
 def _strip_trailing_zeros(w: Word) -> dict[Word, Fraction]:
@@ -511,20 +459,18 @@ def _strip_trailing_zeros(w: Word) -> dict[Word, Fraction]:
     e_0-polynomial decomposition is discarded)."""
     out: dict[Word, Fraction] = {}
     pending: dict[Word, Fraction] = {w: Fraction(1)}
-    level = w.level
     while pending:
         t, c = pending.popitem()
-        m = _trailing_zero(t)
+        m = _run(t.letters[::-1], E_ZERO)
         if m == 0:
             _madd(out, t, c)
             continue
         if m == len(t.letters):
             continue  # pure e_0 power: no degree-0 part
-        u = t.letters[:-m]
-        spread = _shuffle_letters(level, u, (E_ZERO,) * m)
+        spread = _product_table(w.level, t.letters[:-m], (E_ZERO,) * m, None)
         for ls, k in spread.items():
             if ls != t.letters:
-                _madd(pending, Word(ls, level), -c * k)
+                _madd(pending, Word(ls, w.level), -c * k)
     return out
 
 
@@ -535,25 +481,4 @@ def shuffle_regularize(w: Word) -> list[tuple[int, LinComb]]:
     then decomposes what is left as sum_j c_j sh root(0)^(sh j) with c_j
     supported on admissible words.  Returns [(degree, LinComb)].
     """
-    level = w.level
-    acc: dict[int, dict[Word, Fraction]] = {}
-    pending = _strip_trailing_zeros(w)
-    while pending:
-        t, c = pending.popitem()
-        n = _leading_root0(t)
-        if n == 0:
-            _madd(acc.setdefault(0, {}), t, c)
-            continue
-        u = t.letters[n:]
-        _madd(acc.setdefault(n, {}), Word(u, level), c / math.factorial(n))
-        spread = _shuffle_letters(level, u, (0,) * n)
-        assert spread.get(t.letters) == 1
-        for ls, k in spread.items():
-            if ls != t.letters:
-                _madd(pending, Word(ls, level), -c * k)
-    rows = []
-    for j in sorted(acc):
-        lc = LinComb(acc[j])
-        if lc:
-            rows.append((j, lc))
-    return rows
+    return _peel(_strip_trailing_zeros(w), False)

@@ -348,3 +348,31 @@ def test_console_script_help():
     for flag in ("--format", "--primes", "--verify-primes", "--prec",
                  "--seed", "--jobs"):
         assert flag in help_dim.stdout
+
+
+# ---- input errors found after parsing ----
+
+
+@pytest.mark.parametrize("extra", [
+    ["--height-bound", "0"],
+    ["--height-bound", "-5"],
+    ["--primes", "1", "--verify-primes", "0"],
+    ["--twist", "2"],
+])
+def test_dim_budget_and_twist_errors_are_usage_errors(extra, capsys):
+    code, out, err = run_cli(["dim", "--N", "2", "--wmax", "2", "--no-cache"] + extra, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_check_without_weights_is_usage_error(capsys):
+    code, out, err = run_cli(["check", "--wmax", "0"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_malformed_congruence_index_is_computation_error(capsys):
+    code, out, err = run_cli(["finite", "--N", "2", "--index", "k=1;f=1;x"], capsys)
+    assert code == 1
+    assert err.startswith("error:")

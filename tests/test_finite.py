@@ -422,3 +422,9 @@ def test_environment_cache_dir(tmp_path, monkeypatch):
     gens = [Index((1,), (0,), 1)]
     build_residue_table(gens, primes_in_class(1, 0, 2, floor=5))
     assert any(f.name.startswith("residues_") for f in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["k=1;f=1;x", "k=1;f", "k=1;f=1;k=2", "", "k=1"])
+def test_congruence_index_parsing_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_congruence_index(text, 2)

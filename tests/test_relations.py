@@ -314,3 +314,36 @@ def test_dimension_table_alpha_must_be_unit():
 def test_dimension_report_validates_range():
     with pytest.raises(ValueError):
         DimensionReport(1, 1, 2, 2, 2, 1, -1, 0, False, ())
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"height_bound": 0}, {"height_bound": -5}, {"train_primes": 0}, {"verify_primes": 0},
+])
+def test_dim_config_rejects_budgets_that_certify_nothing(kwargs):
+    with pytest.raises(ValueError):
+        DimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("N, alpha, weight", [(1, 1, 4), (2, 1, 3), (3, 2, 3), (4, 3, 2), (5, 2, 2)])
+def test_reversal_rows_are_reduced_echelon_and_hold_at_primes(N, alpha, weight):
+    from cmzv.finite import congruence_residue_int
+    from cmzv.relations import reversal_relations_congruence
+
+    gens = enumerate_generators(N, weight, "congruence")
+    order = {g: i for i, g in enumerate(gens)}
+    rows = reversal_relations_congruence(N, weight, alpha)
+    pivots = [next(iter(row)) for row in rows]
+    assert [order[g] for g in pivots] == sorted(order[g] for g in pivots)
+    assert len(set(pivots)) == len(pivots)
+    for row in rows:
+        assert row[next(iter(row))] == 1
+        assert not set(pivots) & set(row) - {next(iter(row))}
+    # every generator is tied to its reversal: g = (-1)^w g'
+    tied = {g for row in rows for g in row}
+    for g in gens:
+        rev = g.reversed_class(alpha)
+        assert g in tied or (rev == g and weight % 2 == 0)
+    for p in primes_in_class(N, alpha, 3, floor=weight + 2).primes:
+        for row in rows:
+            total = sum(c * congruence_residue_int(g, p) for g, c in row.items())
+            assert total.numerator % p == 0

@@ -411,3 +411,9 @@ def test_nested_sum_one_dimensional_object_column_returns_the_element():
     got = nested_sum(2, lambda j: np.array([ctx.scalar(n) for n in range(1, 7)], dtype=object))
     assert type(got) is Fq
     assert got == ctx.scalar(brute_nested_sum([list(range(1, 7))] * 2, 6))
+
+
+@pytest.mark.parametrize("text", ["k=1;e=0;x", "k=1;e", "k=1;e=0;e=1", "", "k=1"])
+def test_parse_index_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_index(text, 2)

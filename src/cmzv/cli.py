@@ -17,7 +17,9 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -134,23 +136,13 @@ def _cmd_qsum(args, config: RunConfig, out: _Out) -> int:
 
 
 def _cmd_finite(args, config: RunConfig, out: _Out) -> int:
-    from .finite import (
-        CongruenceIndex,
-        congruence_residue,
-        finite_residue,
-        primes_in_class,
-    )
-    from .fq import make_fq_context
+    from .finite import build_residue_table, primes_in_class
 
     ix = _parse_any_index(args.index, args.N)
     pclass = primes_in_class(args.N, config.alpha, args.primes, weight=ix.weight)
-    rows = []
-    for p in pclass.primes:
-        if isinstance(ix, CongruenceIndex):
-            value = congruence_residue(ix, p)
-        else:
-            value = finite_residue(ix, p, make_fq_context(p, args.N))
-        rows.append((p, ";".join(str(c) for c in value.coeffs), value.ctx.d))
+    table = build_residue_table([ix], pclass, use_cache=False)
+    rows = [(p, ";".join(map(str, table.residue(ix, p).coeffs)), table.contexts[p].d)
+            for p in table.primes]
     if config.fmt == "json":
         doc = [{"p": p, "residue": res, "field_degree": d} for p, res, d in rows]
         out.write(_json_text(doc))
@@ -292,16 +284,13 @@ def _cache_files(root: str):
 
 
 def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
-    from .finite import _default_cache_dir, _load_cache, _valid_record, store_records
+    from .finite import _default_cache_dir, _dump, _load_cache, _read_records, store_records
 
     root = config.cache_dir or _default_cache_dir()
     files = _cache_files(root)
+    stored = (rec for path in files for rec in _load_cache(path))
     if args.action == "stat":
-        counts = {}
-        for path in files:
-            for rec in _load_cache(path):
-                key = (rec["N"], rec["alpha"], rec["p"])
-                counts[key] = counts.get(key, 0) + 1
+        counts = Counter((rec["N"], rec["alpha"], rec["p"]) for rec in stored)
         rows = [(n, a, p, c) for (n, a, p), c in sorted(counts.items())]
         if config.fmt == "json":
             doc = [{"N": n, "alpha": a, "p": p, "entries": c} for n, a, p, c in rows]
@@ -315,30 +304,13 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
         out.write(_json_text({"removed_files": len(files)}))
         return 0
     if args.action == "export":
-        records = []
-        for path in files:
-            records.extend(_load_cache(path))
-        records.sort(key=lambda r: (r["N"], r["alpha"], r["p"], r["index"]))
-        text = "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-            for rec in records
-        )
-        out.write(text)
+        out.write("".join(map(_dump, sorted(stored, key=itemgetter("N", "alpha", "p", "index")))))
         return 0
-    # import: merge a JSON-lines bundle back into per-class files; lines that
-    # are not JSON are skipped, as cache files skip them
-    records, bad = [], []
-    with open(args.file) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                bad.append(number)
-                continue
-            if _valid_record(rec):
-                records.append(rec)
+    # import: merge a JSON-lines bundle back into per-class files, read as
+    # cache files are read
+    bad = []
+    with open(args.file, encoding="utf-8") as fh:
+        records = list(_read_records(fh, bad))
     if bad:
         print(f"warning: {args.file}: skipped {len(bad)} non-JSON line(s), "
               f"the first at line {bad[0]}", file=sys.stderr)
@@ -445,6 +417,8 @@ def main(argv=None) -> int:
             seed=args.seed,
         )
         # options only the subcommand can judge are usage errors too
+        if args.command in ("finite", "sym", "dim") and math.gcd(args.alpha, args.N) != 1:
+            raise ValueError("--alpha must be a unit modulo --N")
         if args.command == "dim":
             _dim_config(args, config)
         if args.command == "check" and args.wmax < 1:

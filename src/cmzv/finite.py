@@ -14,8 +14,10 @@ import math
 import os
 import tempfile
 import warnings
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -128,23 +130,25 @@ def _inverse_powers(p: int, kmax: int) -> np.ndarray:
     return powers
 
 
-def _residues(gens, p: int, ctx: FqContext | None = None) -> list:
+def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
     """The sums below p of generators of one level, batched.
 
-    Without ctx (congruence generators only) the sums are ints mod p; with
-    it they are elements of its field.  Slot j of a generator contributes
-    row[c_j] * n^-k_j for n = 1..p-1: the class mask n = f_j (mod N) of a
-    CongruenceIndex, or the phase zeta^(e_j n) of a colored Index.  The n^-k
-    rows are built once.  Where the phases lie in F_p, generators of one
-    depth share one int64 pass of nested_sum over (G, p-1) columns; colored
-    generators in a proper extension sum Fq columns, one at a time.
+    Row i of the (G, d) int64 result holds generator i in the field of ctx;
+    without ctx (congruence generators only) d = 1.  Slot j of a generator
+    contributes row[c_j] * n^-k_j for n = 1..p-1: the class mask n = f_j
+    (mod N) of a CongruenceIndex, or the phase zeta^(e_j n) of a colored
+    Index.  The n^-k rows, and each product row * n^-k that a slot uses,
+    are built once.  Where the phases lie in F_p, generators of one depth
+    share one int64 pass of nested_sum over (G, p-1) columns gathered from
+    those products, written straight into the result; colored generators in
+    a proper extension sum Fq columns, one at a time.
     """
-    out = [0 if g.depth else 1 % p for g in gens]  # depth >= p leaves no term
+    out = np.zeros((len(gens), 1 if ctx is None else ctx.d), dtype=np.int64)
     by_depth, extension = {}, []
     for i, g in enumerate(gens):
         if not 0 < g.depth < p:
-            continue
-        if isinstance(g, CongruenceIndex):
+            out[i, 0] = 0 if g.depth else 1 % p  # depth >= p leaves no term
+        elif isinstance(g, CongruenceIndex):
             by_depth.setdefault(g.depth, []).append((i, g.ks, g.fs))
         elif ctx.d == 1:
             by_depth.setdefault(g.depth, []).append((i, g.ks, tuple(g.level + e for e in g.es)))
@@ -153,6 +157,9 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> list:
     if by_depth or extension:
         N = gens[0].level
         powers = _inverse_powers(p, max(max(g.ks) for g in gens if g.ks))
+    for r, batch in by_depth.items():
+        at, ks, cs = zip(*batch)
+        by_depth[r] = list(at), np.array(cs) * len(powers) + np.array(ks) - 1  # slots c*kmax + k-1
     if by_depth:
         n = np.arange(1, p)
         classes = np.arange(N)[:, None]
@@ -160,16 +167,12 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> list:
         if ctx is not None and ctx.d == 1:
             zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
             rows = np.concatenate([rows, zp[classes * n % N]])  # row N + e: zeta^(e n)
-    for r, batch in by_depth.items():
-        at, ks, cs = zip(*batch)
-        ks, cs = np.array(ks) - 1, np.array(cs)  # (G, r) each
-        sums = nested_sum(r, lambda j: rows[cs[:, j]] * powers[ks[:, j]], p)
-        for i, v in zip(at, sums.tolist()):
-            out[i] = v
-    if ctx is None:
-        return out
-    out = [ctx.scalar(v) for v in out]
-    zeta = [ctx.zeta_power(t) for t in range(ctx.N)]
+        used = np.unique(np.concatenate([slots.ravel() for _, slots in by_depth.values()]))
+        terms = rows[used // len(powers)] * powers[used % len(powers)]  # each used product once
+    for r, (at, slots) in by_depth.items():
+        slots = np.searchsorted(used, slots)  # (G, r) rows of terms
+        out[at, 0] = nested_sum(r, lambda j: terms[slots[:, j]], p)
+    zeta = [ctx.zeta_power(t) for t in range(N)] if extension else ()
     for i in extension:
         ix = gens[i]
 
@@ -178,7 +181,7 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> list:
             row = powers[ix.ks[j] - 1].tolist()
             return np.array([zeta[e * n % N] * c for n, c in enumerate(row, 1)], dtype=object)
 
-        out[i] = nested_sum(ix.depth, fq_column)
+        out[i] = nested_sum(ix.depth, fq_column).coeffs
     return out
 
 
@@ -188,12 +191,12 @@ def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
         ctx = make_fq_context(p, ix.level)
     if ctx.p != p or ctx.N != ix.level:
         raise ValueError("context does not match the prime and level")
-    return _residues([ix], p, ctx)[0]
+    return Fq(ctx, _residues([ix], p, ctx)[0].tolist())
 
 
 def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
     """The congruence-model sum below p as a plain integer mod p."""
-    return _residues([cix], p)[0]
+    return int(_residues([cix], p)[0, 0])
 
 
 def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
@@ -227,29 +230,69 @@ def _generator_key(gen) -> str:
     return format_index(gen)
 
 
-@dataclass
-class ResidueTable:
-    pclass: PrimeClass
-    generators: tuple
-    entries: dict = field(default_factory=dict)  # (generator, p) -> Fq
-    contexts: dict = field(default_factory=dict)  # p -> FqContext
+class _Entries(Mapping):
+    """A read-only (generator, p) -> Fq view of the known residues of a table."""
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p in self.pclass.primes if p in self.contexts)
+    def __init__(self, table: "ResidueTable"):
+        self._table = table
+
+    def __getitem__(self, key) -> Fq:
+        return self._table.residue(*key)
+
+    def __iter__(self):
+        t = self._table
+        return ((t.generators[i], t.primes[j]) for i, j in zip(*np.nonzero(t.values[..., 0] >= 0)))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._table.values[..., 0] >= 0))
+
+
+class ResidueTable:
+    """The residues of generators at the usable primes of a class.
+
+    values[i, j] holds the d coefficients mod p of generators[i] at primes[j]
+    as int64, -1 where none is known (d, the field degree, is the same at
+    every prime of a class).  `entries` reads it as a (generator, p) -> Fq
+    mapping, and ResidueTable(pclass, generators, entries, contexts) fills it.
+    """
+
+    def __init__(self, pclass: PrimeClass, generators, entries=None, contexts=None):
+        self.pclass, self.generators = pclass, tuple(generators)
+        self.contexts = dict(contexts or {})  # p -> FqContext
+        self.primes = tuple(p for p in pclass.primes if p in self.contexts)
+        self.row_of = {g: i for i, g in enumerate(self.generators)}
+        self.col_of = {p: j for j, p in enumerate(self.primes)}
+        d = max((ctx.d for ctx in self.contexts.values()), default=1)
+        self.values = np.full((len(self.generators), len(self.primes), d), -1, dtype=np.int64)
+        for (gen, p), v in (entries or {}).items():
+            self.values[self.row_of[gen], self.col_of[p]] = v.coeffs
+        self.entries = _Entries(self)
 
     def residue(self, gen, p) -> Fq:
-        return self.entries[(gen, p)]
+        coeffs = self.values[self.row_of[gen], self.col_of[p]]
+        if coeffs[0] < 0:
+            raise KeyError((gen, p))
+        return Fq(self.contexts[p], coeffs.tolist())
+
+    def int_matrix(self) -> np.ndarray:
+        """The (G, P) prime-field residues, rows by generator, columns by prime,
+        as a view of `values`.
+
+        ValueError where one is unknown or lies outside the prime field.
+        """
+        if (self.values[..., 0] < 0).any() or self.values[..., 1:].any():
+            raise ValueError("column has entries missing or outside the prime field")
+        return self.values[..., 0]
 
     def int_column(self, gen) -> list[int]:
         """Prime-field entries as plain ints, ordered by prime (congruence rows)."""
-        out = []
-        for p in self.primes:
-            v = self.entries[(gen, p)]
-            if not v.in_prime_field:
-                raise ValueError("column has entries outside the prime field")
-            out.append(v.coeffs[0])
-        return out
+        return self.subtable([gen]).int_matrix()[0].tolist()
+
+    def subtable(self, gens) -> "ResidueTable":
+        """The rows of gens, as a table of their own."""
+        sub = ResidueTable(self.pclass, gens, contexts=self.contexts)
+        sub.values[:] = self.values[[self.row_of[g] for g in gens]]
+        return sub
 
 
 def _default_cache_dir() -> str:
@@ -264,22 +307,19 @@ def _cache_path(cache_dir: str, N: int, alpha: int) -> str:
 
 
 # a cache record's fields and their JSON types, besides "v": 1
-_RECORD_FIELDS = {
-    "N": int,
-    "alpha": int,
-    "p": int,
-    "index": str,
-    "modulus": list,
-    "zeta_image": list,
-    "residue": list,
-}
+_RECORD_FIELDS = ("N", "alpha", "p", "index", "modulus", "zeta_image", "residue")
+_RECORD_TYPES = (int, int, int, str, list, list, list)
 
 
 def _valid_record(rec) -> bool:
+    """Every field of its type, and as residue d ints in [0, p), d the degree
+    of the modulus."""
     return (
-        isinstance(rec, dict)
+        type(rec) is dict
         and rec.get("v") == 1
-        and all(isinstance(rec.get(k), t) for k, t in _RECORD_FIELDS.items())
+        and tuple(map(type, map(rec.get, _RECORD_FIELDS))) == _RECORD_TYPES
+        and len(rec["residue"]) == len(rec["modulus"]) - 1
+        and all(type(c) is int and 0 <= c < rec["p"] for c in rec["residue"])
     )
 
 
@@ -288,38 +328,65 @@ def _record_key(rec: dict) -> tuple:
     return (rec["p"], rec["index"], tuple(rec["modulus"]), tuple(rec["zeta_image"]))
 
 
+_CHUNK = 512  # lines decoded by one json.loads in _read_records
+
+
+def _read_records(fh, bad: list | None = None):
+    """The well-formed records of an open JSON-lines file; the rest is skipped.
+
+    _CHUNK non-blank lines decode as one JSON array (no string runs across a
+    newline).  A chunk that fails, or gives another number of values than it
+    has lines, is decoded line by line; the numbers of the lines that are not
+    JSON go to `bad` when it is given.
+    """
+    lines = ((n, text) for n, line in enumerate(fh, 1) if (text := line.strip()))
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        try:
+            values = json.loads("[" + ",\n".join(text for _, text in chunk) + "]")
+        except json.JSONDecodeError:
+            values = None
+        if values is None or len(values) != len(chunk):
+            values = []
+            for n, text in chunk:
+                try:
+                    values.append(json.loads(text))
+                except json.JSONDecodeError:
+                    if bad is not None:
+                        bad.append(n)
+        yield from filter(_valid_record, values)
+
+
 def _load_cache(path: str):
-    """The well-formed records of one cache file, read line by line; anything
-    else is skipped."""
+    """The well-formed records of one cache file (see _read_records)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if _valid_record(rec):
-                    yield rec
+            yield from _read_records(fh)
     except FileNotFoundError:
         pass
     except OSError as exc:
         warnings.warn(f"residue cache unreadable ({exc}); recomputing")
 
 
-def _table_records(table: "ResidueTable"):
-    """A cache record per entry of the table, sorted by (p, index), made lazily."""
-    gens = table.generators
-    keyed = sorted((_generator_key(g), i) for i, g in enumerate(gens))
-    for p, ctx in sorted(table.contexts.items()):
-        head = {"v": 1, "N": table.pclass.level, "alpha": table.pclass.alpha, "p": p,
-                "modulus": list(ctx.modulus), "zeta_image": list(ctx.zeta_coeffs)}
-        for key, i in keyed:
-            if (gens[i], p) in table.entries:
-                residue = [c % p for c in table.entries[(gens[i], p)].coeffs]
-                yield dict(head, index=key, residue=residue)
+def _dump(rec: dict) -> str:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _table_lines(table: ResidueTable):
+    """((p, index), line) per entry of a full table, sorted, each line as
+    _dump writes the record: one head per prime, made by _dump, around the
+    quoted index and the residue."""
+    keyed = sorted((_generator_key(g), i) for i, g in enumerate(table.generators))
+    quoted, order = [json.dumps(key) for key, _ in keyed], [i for _, i in keyed]
+    for p in sorted(table.primes):
+        ctx = table.contexts[p]
+        head = _dump({"v": 1, "N": table.pclass.level, "alpha": table.pclass.alpha, "p": p,
+                      "modulus": list(ctx.modulus), "zeta_image": list(ctx.zeta_coeffs),
+                      "index": "@", "residue": "#"})
+        start, rest = head.split('"@"')
+        middle, end = rest.split('"#"')
+        residues = table.values[order, table.col_of[p]].tolist()
+        for (key, _), q, res in zip(keyed, quoted, residues):
+            yield (p, key), f"{start}{q}{middle}[{','.join(map(str, res))}]{end}"
 
 
 def _store_cache(path: str, records: list[dict], table=None, after=()) -> None:
@@ -327,18 +394,15 @@ def _store_cache(path: str, records: list[dict], table=None, after=()) -> None:
 
     Records with equal (p, index) keep that order.
     """
+    by_key = itemgetter("p", "index")
+    dumped = lambda recs: ((by_key(r), _dump(r)) for r in sorted(recs, key=by_key))  # noqa: E731
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        order = lambda r: (r["p"], r["index"])  # noqa: E731
-        ordered = sorted(records, key=order)
-        if table is not None:
-            ordered = heapq.merge(
-                ordered, _table_records(table), sorted(after, key=order), key=order
-            )
+        table_lines = _table_lines(table) if table is not None else ()
+        lines = heapq.merge(dumped(records), table_lines, dumped(after), key=itemgetter(0))
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for rec in ordered:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.writelines(line for _, line in lines)
         os.replace(tmp, path)
     except OSError as exc:
         warnings.warn(f"residue cache not written ({exc})")
@@ -365,10 +429,9 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
 
 
 def _compute_column(args):
-    """The residues of gens at one prime, in order (worker-process entry point)."""
+    """The (G, d) residues of gens at one prime (worker-process entry point)."""
     N, alpha, p, twist, gens = args
-    ctx = make_fq_context(p, N, twist)
-    return p, [list(v.coeffs) for v in _residues(gens, p, ctx)]
+    return p, _residues(gens, p, make_fq_context(p, N, twist))
 
 
 def build_residue_table(
@@ -387,53 +450,44 @@ def build_residue_table(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    generators = tuple(generators)
     N, alpha = pclass.level, pclass.alpha
-    table = ResidueTable(pclass, generators)
-
     contexts = {}
     for p in pclass.primes:
         try:
             contexts[p] = make_fq_context(p, N, twist)
         except BadPrimeError as exc:
             warnings.warn(f"skipping prime {p}: {exc}")
-    table.contexts = contexts
+    table = ResidueTable(pclass, generators, contexts=contexts)
+    gens, values, col_of = table.generators, table.values, table.col_of
 
-    by_key = {_generator_key(g): g for g in generators}
+    by_key = {_generator_key(g): i for i, g in enumerate(gens)}  # index -> row
+    heads = {p: (list(ctx.modulus), list(ctx.zeta_coeffs)) for p, ctx in contexts.items()}
     cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
     # The records this table does not consume are written back as read: those
-    # after a consumed one of equal (p, index) after its entry, the rest before.
-    kept = ([], [])
-    last = None  # (p, index) of the last record consumed
+    # after a consumed one (last) of equal (p, index) after its entry, the rest before.
+    kept, found, last = ([], []), {}, None  # found: (row, column) -> residue
     for rec in _load_cache(cache_file) if use_cache else ():
-        p, gen = rec["p"], by_key.get(rec["index"])
-        ctx = contexts.get(p)
-        if gen is None or ctx is None or (gen, p) in table.entries or (
-            (tuple(rec["modulus"]), tuple(rec["zeta_image"])) != (ctx.modulus, ctx.zeta_coeffs)
-        ):
-            kept[(p, rec["index"]) == last].append(rec)
+        p, key = rec["p"], rec["index"]
+        at = (by_key.get(key), col_of.get(p))
+        if None in at or at in found or (rec["modulus"], rec["zeta_image"]) != heads[p]:
+            kept[(p, key) == last].append(rec)
         else:
-            table.entries[(gen, p)] = Fq(ctx, rec["residue"])
-            last = (p, rec["index"])
+            found[at] = rec["residue"]
+            last = (p, key)
+    if found:
+        values[tuple(zip(*found))] = list(found.values())
 
-    todo = {}  # p -> generators with no cached residue at p
-    for gen in generators:
-        for p in contexts:
-            if (gen, p) not in table.entries:
-                todo.setdefault(p, []).append(gen)
-
-    work = [(N, alpha, p, twist, gens) for p, gens in sorted(todo.items())]
+    todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
+    todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue
+    work = [(N, alpha, p, twist, [gens[i] for i in rows]) for p, rows in sorted(todo.items())]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_column, work))
     else:
         results = map(_compute_column, work)  # one prime's column alive at a time
-
     for p, col in results:
-        ctx = contexts[p]
-        for gen, coeffs in zip(todo[p], col):
-            table.entries[(gen, p)] = Fq(ctx, coeffs)
+        values[todo[p], col_of[p]] = col
 
     if use_cache and todo:
         _store_cache(cache_file, kept[0], table, kept[1])

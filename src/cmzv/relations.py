@@ -315,8 +315,8 @@ def discover_relations_lll(
     gens = [g for g in table.generators if g not in skipped]
     if not gens:
         return Discovery()
-    # int_column rejects entries outside the prime field
-    columns = dict(zip(primes, np.array([table.int_column(g) for g in gens]).T))
+    # int_matrix rejects entries outside the prime field
+    columns = dict(zip(primes, table.subtable(gens).int_matrix().T))
     G = len(gens)
     basis = GSOBasis(np.eye(G), fresh=G)  # Z^G, already orthogonal
     shortest = math.inf  # least |b*|^2 of a dropped vector
@@ -392,20 +392,19 @@ class DimensionReport:
             raise ValueError("dimension estimate out of range")
 
 
-def _check_exact_rows(rows, gens, table) -> None:
+def _check_exact_rows(rows, table) -> None:
     """Raise AssertionError unless every proven row vanishes at every prime.
 
     One int64 product of the rows, scaled to integers, with the residue
     matrix of the weight; the message names the first failing row and prime.
     """
-    col = {g: i for i, g in enumerate(gens)}
-    A = np.zeros((len(rows), len(gens)), dtype=np.int64)
+    A = np.zeros((len(rows), len(table.generators)), dtype=np.int64)
     for i, row in enumerate(rows):
         den = math.lcm(*(Fraction(c).denominator for c in row.values()))
         for g, c in row.items():
-            A[i, col[g]] = int(c * den)
+            A[i, table.row_of[g]] = int(c * den)
     primes = np.array(table.primes, dtype=np.int64)
-    bad = A @ np.array([table.int_column(g) for g in gens]).reshape(len(gens), -1) % primes != 0
+    bad = A @ table.int_matrix() % primes != 0
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         raise AssertionError(f"exact relation failed at p={primes[np.argmax(bad[i])]}: {rows[i]}")
@@ -448,8 +447,7 @@ def dimension_table(
     }
     reports = []
     for weight, pclass, gens in plan:
-        whole = shared[pclass]
-        table = ResidueTable(pclass, tuple(gens), whole.entries, whole.contexts)
+        table = shared[pclass].subtable(gens)
         want = config.train_primes + config.verify_primes
         under = len(table.primes) < want
         split = (config.train_primes, config.verify_primes)
@@ -460,7 +458,7 @@ def dimension_table(
             split = (avail - verify_n, verify_n)
 
         rows = reversal_relations_congruence(N, weight, alpha)
-        _check_exact_rows(rows, gens, table)  # the family is proven; fail loudly
+        _check_exact_rows(rows, table)  # the family is proven; fail loudly
         pivots = [next(iter(row)) for row in rows]
         found = discover_relations_lll(table, config.height_bound, split, skip=pivots)
         b_cert = found.b_cert

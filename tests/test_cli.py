@@ -366,6 +366,18 @@ def test_dim_budget_and_twist_errors_are_usage_errors(extra, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "--N", "3", "--alpha", "3", "--wmax", "2", "--no-cache"],
+    ["finite", "--N", "3", "--alpha", "3", "--index", "k=1;e=1"],
+    ["sym", "--N", "2", "--alpha", "2", "--index", "k=1;e=1"],
+])
+def test_non_unit_alpha_is_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_check_without_weights_is_usage_error(capsys):
     code, out, err = run_cli(["check", "--wmax", "0"], capsys)
     assert code == 2

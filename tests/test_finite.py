@@ -428,3 +428,123 @@ def test_environment_cache_dir(tmp_path, monkeypatch):
 def test_congruence_index_parsing_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_congruence_index(text, 2)
+
+
+# ---- the table as one array, and its cache bytes ----
+
+
+def _expected_value(gen, p, ctx):
+    if isinstance(gen, CongruenceIndex):
+        return ctx.scalar(brute_congruence(gen, p))
+    return brute_finite(gen, p, ctx)
+
+
+def _expected_lines(gens, pclass):
+    """The cache lines of gens at every prime of the class, as the records
+    sorted by (p, index) and serialised one by one."""
+    records = []
+    for p in pclass.primes:
+        ctx = make_fq_context(p, pclass.level)
+        for gen in gens:
+            records.append({
+                "v": 1, "N": pclass.level, "alpha": pclass.alpha, "p": p,
+                "index": finite._generator_key(gen), "modulus": list(ctx.modulus),
+                "zeta_image": list(ctx.zeta_coeffs),
+                "residue": list(_expected_value(gen, p, ctx).coeffs),
+            })
+    records.sort(key=lambda r: (r["p"], r["index"]))
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("pclass", [PrimeClass(3, 1, (7, 13, 19)), PrimeClass(3, 2, (5, 11, 17))])
+def test_cache_file_bytes_are_the_sorted_records(tmp_path, pclass):
+    # class 2 mod 3 has d = 2: congruence residues [v, 0], colored ones in F_(p^2)
+    first = [CongruenceIndex((1, 2), (0, 1), 3), Index((2,), (1,), 3)]
+    second = [CongruenceIndex((3,), (2,), 3), Index((1, 1), (1, 2), 3), CongruenceIndex((1,), (0,), 3)]
+    build_residue_table(first, pclass, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    assert path.read_text() == _expected_lines(first, pclass)
+    # the records of the first set are foreign to the second and are written back
+    table = build_residue_table(second, pclass, cache_dir=str(tmp_path))
+    assert path.read_text() == _expected_lines(first + second, pclass)
+    assert table.values.shape == (3, 3, table.contexts[pclass.primes[0]].d)
+
+
+def test_table_from_entries_agrees_with_built_table():
+    pclass = PrimeClass(3, 1, (7, 13, 19))
+    gens = [CongruenceIndex((1,), (f,), 3) for f in range(3)] + [
+        CongruenceIndex((1, 1), (f, g), 3) for f in range(3) for g in range(3)
+    ]
+    built = build_residue_table(gens, pclass, use_cache=False)
+    contexts = {p: make_fq_context(p, 3) for p in pclass.primes}
+    entries = {(g, p): contexts[p].scalar(brute_congruence(g, p)) for g in gens for p in pclass.primes}
+    given = finite.ResidueTable(pclass, tuple(gens), entries, contexts)
+    assert built.entries == given.entries == entries
+    assert len(built.entries) == len(given.entries) == len(gens) * 3
+    assert set(built.entries) == set(entries)
+    for g in gens:
+        for p in pclass.primes:
+            assert built.residue(g, p) == given.residue(g, p) == entries[(g, p)]
+        assert built.int_column(g) == [entries[(g, p)].coeffs[0] for p in pclass.primes]
+    assert (built.int_matrix() == given.int_matrix()).all()
+    # one weight sliced from the shared table, as dimension_table does
+    weight_two = gens[3:]
+    sub = built.subtable(weight_two)
+    alone = build_residue_table(weight_two, pclass, use_cache=False)
+    assert sub.generators == alone.generators and sub.primes == alone.primes
+    assert sub.entries == alone.entries
+    assert (sub.int_matrix() == alone.int_matrix()).all()
+    assert [sub.residue(g, p) for g in weight_two for p in pclass.primes] == [
+        alone.residue(g, p) for g in weight_two for p in pclass.primes
+    ]
+
+
+def test_table_without_a_residue_reports_it_missing():
+    pclass = PrimeClass(3, 1, (7, 13))
+    contexts = {p: make_fq_context(p, 3) for p in pclass.primes}
+    g, h = CongruenceIndex((1,), (0,), 3), CongruenceIndex((2,), (1,), 3)
+    table = finite.ResidueTable(pclass, (g, h), {(g, 7): contexts[7].scalar(3)}, contexts)
+    assert len(table.entries) == 1 and (g, 7) in table.entries and (g, 13) not in table.entries
+    with pytest.raises(KeyError):
+        table.residue(g, 13)
+    with pytest.raises(ValueError):
+        table.int_matrix()
+
+
+def test_cache_reader_falls_back_line_by_line(tmp_path, monkeypatch):
+    # chunks of two lines: the bad lines spoil their chunks, not their neighbours
+    monkeypatch.setattr(finite, "_CHUNK", 2)
+    recs = [{"v": 1, "N": 1, "alpha": 0, "p": 7, "index": f"k={k};e=0", "modulus": [6, 1],
+             "zeta_image": [1], "residue": [k]} for k in range(1, 6)]
+    lines = [json.dumps(r) for r in recs]
+    # '[1' and '2]' decode together as one value in a chunk, never alone
+    body = [lines[0], "not json", lines[1], "", lines[2], "[1", "2]", lines[3],
+            '{"v":1,"N":1}', lines[4]]
+    path = tmp_path / "bundle.jsonl"
+    path.write_text("\n".join(body) + "\n")
+    bad = []
+    with open(path) as fh:
+        assert list(finite._read_records(fh, bad)) == recs
+    assert bad == [2, 6, 7]
+
+
+@pytest.mark.parametrize("residue", [[7], [-1], [1, 0], [], ["3"], [2.0], [True]])
+def test_cache_record_residue_must_be_field_coefficients(residue):
+    rec = {"v": 1, "N": 1, "alpha": 0, "p": 7, "index": "k=1;e=0", "modulus": [6, 1],
+           "zeta_image": [1], "residue": [3]}
+    assert finite._valid_record(rec)
+    assert not finite._valid_record(dict(rec, residue=residue))
+
+
+def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
+    pclass = PrimeClass(5, 1, (11, 31, 41))
+    a, b = Index((1,), (1,), 5), Index((2,), (2,), 5)
+    build_residue_table([a], pclass, cache_dir=str(tmp_path))
+    build_residue_table([a], pclass, cache_dir=str(tmp_path), twist=2)
+    (path,) = tmp_path.iterdir()
+    both = path.read_text().splitlines(keepends=True)  # per prime: twist 1, then twist 2
+    assert len(both) == 6 and both[0] != both[1]
+    build_residue_table([a, b], pclass, cache_dir=str(tmp_path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert [line for line in lines if '"index":"k=1;e=1"' in line] == both
+    assert len(lines) == 9

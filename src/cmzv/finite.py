@@ -130,68 +130,89 @@ def _inverse_powers(p: int, kmax: int) -> np.ndarray:
     return powers
 
 
+class _Slots:
+    """gens grouped by depth and model, with each group's rows and (G, r)
+    arrays: colors, or positions in `used` (the codes f*kmax + k-1 of the
+    (class, exponent) pairs of congruence slots), and exponents - 1.  They
+    depend on no prime, so a table builds them once for all its primes."""
+
+    def __init__(self, gens):
+        self.size, self.level = len(gens), gens[0].level if gens else 1
+        self.kmax = max((max(g.ks) for g in gens if g.ks), default=1)
+        pairs = {(f, k) for g in gens if isinstance(g, CongruenceIndex) for f, k in zip(g.fs, g.ks)}
+        self.used = np.array(sorted(f * self.kmax + k - 1 for f, k in pairs), dtype=np.int64)
+        groups = {}
+        for i, g in enumerate(gens):
+            groups.setdefault((g.depth, isinstance(g, Index)), []).append(i)
+        self.batches = []  # (depth, colored, rows, colors or positions, exponents - 1)
+        for (r, colored), at in groups.items():
+            cs = np.array([gens[i].es if colored else gens[i].fs for i in at], dtype=np.int64)
+            ks = np.array([gens[i].ks for i in at], dtype=np.int64) - 1
+            cs = cs if colored else np.searchsorted(self.used, cs * self.kmax + ks)
+            self.batches.append((r, colored, np.array(at), cs, ks))
+
+
+_CELLS = 1 << 20  # int64 entries in one (G, N, p-1) array of a colored pass
+
+
 def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
-    """The sums below p of generators of one level, batched.
+    """The sums below p of generators of one level (or their _Slots), batched.
 
     Row i of the (G, d) int64 result holds generator i in the field of ctx;
-    without ctx (congruence generators only) d = 1.  Slot j of a generator
-    contributes row[c_j] * n^-k_j for n = 1..p-1: the class mask n = f_j
-    (mod N) of a CongruenceIndex, or the phase zeta^(e_j n) of a colored
-    Index.  The n^-k rows, and each product row * n^-k that a slot uses,
-    are built once.  Where the phases lie in F_p, generators of one depth
-    share one int64 pass of nested_sum over (G, p-1) columns gathered from
-    those products, written straight into the result; colored generators in
-    a proper extension sum Fq columns, one at a time.
+    without ctx (congruence generators only) d = 1.  The n^-k rows are built
+    once.  Congruence generators of one depth share one int64 pass of
+    nested_sum over (G, p-1) columns, slot j the mask n = f_j (mod N) times
+    n^-k_j, each such product built once.  Colored ones of one depth share
+    one pass in F_p[Z/N] over (G, N, p-1) arrays, coordinate t the
+    coefficient of zeta^t, whose N sums map into F_(p^d) through the powers
+    of zeta in ctx, whatever d is.
     """
-    out = np.zeros((len(gens), 1 if ctx is None else ctx.d), dtype=np.int64)
-    by_depth, extension = {}, []
-    for i, g in enumerate(gens):
-        if not 0 < g.depth < p:
-            out[i, 0] = 0 if g.depth else 1 % p  # depth >= p leaves no term
-        elif isinstance(g, CongruenceIndex):
-            by_depth.setdefault(g.depth, []).append((i, g.ks, g.fs))
-        elif ctx.d == 1:
-            by_depth.setdefault(g.depth, []).append((i, g.ks, tuple(g.level + e for e in g.es)))
-        else:
-            extension.append(i)
-    if by_depth or extension:
-        N = gens[0].level
-        powers = _inverse_powers(p, max(max(g.ks) for g in gens if g.ks))
-    for r, batch in by_depth.items():
-        at, ks, cs = zip(*batch)
-        by_depth[r] = list(at), np.array(cs) * len(powers) + np.array(ks) - 1  # slots c*kmax + k-1
-    if by_depth:
-        n = np.arange(1, p)
-        classes = np.arange(N)[:, None]
-        rows = (n % N == classes).astype(np.int64)  # row f: the mask n = f (mod N)
-        if ctx is not None and ctx.d == 1:
-            zp = np.array([ctx.zeta_power(t).coeffs[0] for t in range(N)], dtype=np.int64)
-            rows = np.concatenate([rows, zp[classes * n % N]])  # row N + e: zeta^(e n)
-        used = np.unique(np.concatenate([slots.ravel() for _, slots in by_depth.values()]))
-        terms = rows[used // len(powers)] * powers[used % len(powers)]  # each used product once
-    for r, (at, slots) in by_depth.items():
-        slots = np.searchsorted(used, slots)  # (G, r) rows of terms
-        out[at, 0] = nested_sum(r, lambda j: terms[slots[:, j]], p)
-    zeta = [ctx.zeta_power(t) for t in range(N)] if extension else ()
-    for i in extension:
-        ix = gens[i]
+    slots = gens if isinstance(gens, _Slots) else _Slots(gens)
+    out = np.zeros((slots.size, 1 if ctx is None else ctx.d), dtype=np.int64)
+    for r, _, at, _, _ in slots.batches:
+        out[at, 0] = 0 if r else 1 % p  # the empty sum is 1
+    live = [b for b in slots.batches if 0 < b[0] < p]  # depth >= p leaves no term
+    if not live:
+        return out
+    N, kmax = slots.level, slots.kmax
+    powers, n = _inverse_powers(p, kmax), np.arange(1, p)
+    masks = (n % N == np.arange(N)[:, None]).astype(np.int64)  # row f: the mask n = f (mod N)
+    terms = masks[slots.used // kmax] * powers[slots.used % kmax]
+    for r, colored, at, cs, ks in live:
+        if not colored:
+            out[at, 0] = nested_sum(r, lambda j: terms[cs[:, j]], p)
+            continue
+        zeta = np.array([ctx.zeta_power(t).coeffs for t in range(N)], dtype=np.int64)
+        phase = np.arange(N)[:, None] * n % N  # row e: e n mod N
+        step = max(1, _CELLS // (N * p))  # generators per pass
+        for lo in range(0, len(at), step):
+            es, ex = cs[lo : lo + step], ks[lo : lo + step]
 
-        def fq_column(j):
-            e = ix.es[j]
-            row = powers[ix.ks[j] - 1].tolist()
-            return np.array([zeta[e * n % N] * c for n, c in enumerate(row, 1)], dtype=object)
+            def column(j):
+                gather = (np.arange(N)[:, None] - phase[es[:, j], None]) % N  # t takes t - e_j n
+                w = powers[ex[:, j], None]
+                return w * (gather == 0) if j == r - 1 else (w, gather)
 
-        out[i] = nested_sum(ix.depth, fq_column).coeffs
+            sums = nested_sum(r, column, p)  # (G, N), coordinate t the coefficient of zeta^t
+            out[at[lo : lo + step]] = (sums[..., None] * zeta % p).sum(axis=1) % p
     return out
+
+
+def _fq_residues(gens, p: int, ctx: FqContext) -> list[Fq]:
+    """The residues of gens (or their _Slots) at p as Fq, from one _residues call."""
+    return [Fq(ctx, v) for v in _residues(gens, p, ctx).tolist()]
+
+
+def _context(ctx: FqContext | None, p: int, N: int) -> FqContext:
+    ctx = make_fq_context(p, N) if ctx is None else ctx
+    if (ctx.p, ctx.N) != (p, N):
+        raise ValueError("context does not match the prime and level")
+    return ctx
 
 
 def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
     """The truncated colored sum below p in the residue field of ctx."""
-    if ctx is None:
-        ctx = make_fq_context(p, ix.level)
-    if ctx.p != p or ctx.N != ix.level:
-        raise ValueError("context does not match the prime and level")
-    return Fq(ctx, _residues([ix], p, ctx)[0].tolist())
+    return _fq_residues([ix], p, _context(ctx, p, ix.level))[0]
 
 
 def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
@@ -201,22 +222,19 @@ def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
 
 def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
     """Congruence-model value in the prime subfield."""
-    if ctx is None:
-        ctx = make_fq_context(p, cix.level)
-    return ctx.scalar(congruence_residue_int(cix, p))
+    return _context(ctx, p, cix.level).scalar(congruence_residue_int(cix, p))
 
 
 def congruence_from_colored(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
     """The N^r-term average of colored residues; cross-checks the direct sum."""
-    if ctx is None:
-        ctx = make_fq_context(p, cix.level)
+    ctx = _context(ctx, p, cix.level)
     N, r = cix.level, cix.depth
     if r == 0:
         return ctx.one()
+    colors = list(itertools.product(range(N), repeat=r))
     total = ctx.zero()
-    for es in itertools.product(range(N), repeat=r):
-        phase = ctx.zeta_power(-sum(e * f for e, f in zip(es, cix.fs)) % N)
-        total = total + phase * finite_residue(Index(cix.ks, es, N), p, ctx)
+    for es, value in zip(colors, _fq_residues([Index(cix.ks, es, N) for es in colors], p, ctx)):
+        total = total + ctx.zeta_power(-sum(e * f for e, f in zip(es, cix.fs)) % N) * value
     scale = pow(pow(N, r, p), p - 2, p)
     return total * scale
 
@@ -429,7 +447,7 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
 
 
 def _compute_column(args):
-    """The (G, d) residues of gens at one prime (worker-process entry point)."""
+    """The (G, d) residues at one prime of gens or their _Slots (worker-process entry point)."""
     N, alpha, p, twist, gens = args
     return p, _residues(gens, p, make_fq_context(p, N, twist))
 
@@ -479,7 +497,9 @@ def build_residue_table(
 
     todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
     todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue
-    work = [(N, alpha, p, twist, [gens[i] for i in rows]) for p, rows in sorted(todo.items())]
+    slots = {rows.tobytes(): rows for rows in todo.values()}  # one _Slots per row set
+    slots = {key: _Slots([gens[i] for i in rows]) for key, rows in slots.items()}
+    work = [(N, alpha, p, twist, slots[rows.tobytes()]) for p, rows in sorted(todo.items())]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -28,8 +28,9 @@ from .finite import (
     CongruenceIndex,
     PrimeClass,
     ResidueTable,
+    _fq_residues,
+    _Slots,
     build_residue_table,
-    finite_residue,
     primes_in_class,
 )
 from .lattice import GSOBasis, echelon_basis, lll_reduce
@@ -169,13 +170,12 @@ def _fraction_mod(c: Fraction, p: int) -> int:
 def check_linear_shuffle_finite(u: Word, v: Word, pclass: PrimeClass, twist: int = 1) -> dict:
     """Per-prime exactness of the linear shuffle identity; {prime: bool}."""
     row = linear_shuffle_row(u, v)
+    slots = _Slots(list(row))
     results = {}
     for p in pclass.primes:
         ctx = make_fq_context(p, pclass.level, twist)
-        total = ctx.zero()
-        for ix, coeff in row.items():
-            total = total + finite_residue(ix, p, ctx) * _fraction_mod(coeff, p)
-        results[p] = total.is_zero
+        values = zip(_fq_residues(slots, p, ctx), row.values())
+        results[p] = sum((value * _fraction_mod(c, p) for value, c in values), ctx.zero()).is_zero
     return results
 
 
@@ -183,13 +183,13 @@ def check_reversal_finite(ix: Index, pclass: PrimeClass, twist: int = 1) -> dict
     """Per-prime exactness of the reversal identity; {prime: bool}."""
     N = ix.level
     sign = -1 if ix.weight % 2 else 1
+    slots = _Slots([Index(ix.ks, tuple(-e % N for e in ix.es), N), ix.reversed()])
     results = {}
     for p in pclass.primes:
         ctx = make_fq_context(p, N, twist)
-        lhs = finite_residue(Index(ix.ks, tuple(-e % N for e in ix.es), N), p, ctx)
+        lhs, rev = _fq_residues(slots, p, ctx)
         color = ctx.zeta_power((-pclass.alpha * sum(ix.es)) % N)
-        rhs = color * finite_residue(ix.reversed(), p, ctx) * (sign % p)
-        results[p] = lhs == rhs
+        results[p] = lhs == color * rev * (sign % p)
     return results
 
 

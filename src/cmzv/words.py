@@ -146,10 +146,14 @@ def nested_sum(depth: int, column, p: int | None = None):
     column(j) is called once per slot, innermost slot first, so no more
     than one column, one product and one running prefix sum are alive at a
     time.  Any dtype with + and * will do: complex128 or clongdouble,
-    object arrays of exact or mpmath numbers, or int64 with p given,
-    reduced mod p after every product and every prefix sum.  That is exact
-    for p < 2^31: a product of two residues stays below p^2 < 2^62, and a
-    prefix sum of fewer than 2^32 residues below 2^63.
+    object arrays of integers, rationals, CycNum or mpmath numbers, or
+    int64 with p given, reduced mod p after every product and every prefix
+    sum.  That is exact for p < 2^31: a product of two residues stays below
+    p^2 < 2^62, and a prefix sum of fewer than 2^32 residues below 2^63.
+
+    A slot but the innermost may return (terms, gather): the inner prefix at
+    n - 1 is then first permuted along its second-to-last axis, entry t
+    taking entry gather[..., t, n - 1] (zeta^(e n) acting on F_p[Z/N]).
 
     Needs 1 <= depth <= stop; callers return their own typed 1 or 0 outside.
     """
@@ -159,11 +163,16 @@ def nested_sum(depth: int, column, p: int | None = None):
         raise ValueError("depth must be positive")
     S = None  # S[..., i] = sum over slots j.. with n_j <= stop - S.shape[-1] + 1 + i
     for j in range(depth - 1, -1, -1):
-        terms = column(j)
+        terms, gather = column(j), None
+        if type(terms) is tuple:
+            terms, gather = terms
         stop = terms.shape[-1]
         if S is not None:
             # slot j at n pairs with the inner prefix sum at n - 1
-            terms = terms[..., stop - S.shape[-1] + 1 :] * S[..., :-1]
+            start, inner = stop - S.shape[-1] + 1, S[..., :-1]
+            if gather is not None:
+                inner = np.take_along_axis(inner, gather[..., start:], axis=-2)
+            terms = terms[..., start:] * inner
         elif stop < depth:
             raise ValueError("depth exceeds the number of terms")
         if p is not None:

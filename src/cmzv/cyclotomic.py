@@ -10,82 +10,68 @@ structural.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, increasing."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (constant term first)."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    lead = den[-1]
-    quo = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        c = num[i + dd]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // lead
-        quo[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num[: dd + 1]) or any(num[dd + 1 :]):
-        if any(num):
-            raise ArithmeticError("non-zero remainder in exact division")
-    return quo
+    qs = _prime_factors(n)
+    return n // math.prod(qs) * math.prod(q - 1 for q in qs)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of all proper
-    divisors of n; the result is monic with integer coefficients.
+    The Moebius product of x^d - 1 over d | n: the product of the binomials
+    with mu(n/d) = 1, divided exactly by those with mu(n/d) = -1.  Every
+    partial quotient is a product of cyclotomic polynomials, so each division
+    by x^d - 1 is exact: the quotient's coefficients are the negated prefix
+    sums, taken along stride d, of the dividend's.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    qs = _prime_factors(n)
+    plus, minus = [], []
+    for r in range(len(qs) + 1):
+        for S in itertools.combinations(qs, r):
+            (minus if r % 2 else plus).append(n // math.prod(S))
+    poly = np.ones(1, dtype=object)  # Python integers: no bound on the coefficients
+    for d in plus:
+        nxt = np.zeros(len(poly) + d, dtype=object)
+        nxt[d:] = poly
+        nxt[: len(poly)] -= poly
+        poly = nxt
+    for d in minus:
+        k = len(poly) - d
+        a = np.zeros(-(-k // d) * d, dtype=object)
+        a[:k] = poly[:k]
+        poly = -np.cumsum(a.reshape(-1, d), axis=0).ravel()[:k]
+    return tuple(poly.tolist())
 
 
 class _LevelContext:
     """Cached reduction data for one cyclotomic level."""
 
-    __slots__ = ("level", "phi", "pow_table")
+    __slots__ = ("level", "phi", "pow_table", "fold")
 
     def __init__(self, level: int):
         self.level = level
@@ -105,6 +91,11 @@ class _LevelContext:
                     nxt[i] -= lead * mod[i]
             cur = nxt
         self.pow_table = tuple(table)
+        # the nonzero entries of pow_table, column by column, for the fold;
+        # rows k < phi are unit vectors, so no column's segment is empty
+        dense = np.array(table, dtype=object)
+        cols, rows = np.nonzero(dense.T)
+        self.fold = (rows, dense[rows, cols], np.searchsorted(cols, np.arange(phi)))
 
 
 @lru_cache(maxsize=None)
@@ -115,19 +106,15 @@ def _ctx(level: int) -> _LevelContext:
 def _reduce_vector(vec: list[int], ctx: _LevelContext) -> list[int]:
     """Fold coordinates of degree >= phi back onto the power basis.
 
-    Degrees from the level up first wrap around, as z^level = 1.
+    Degrees from the level up first wrap around, as z^level = 1.  Then
+    coordinate i is the sum of vec[k] * pow_table[k][i] over the nonzero
+    entries of its column: one gather, one product and one segmented sum.
     """
-    phi, L = ctx.phi, ctx.level
-    if len(vec) > L:
-        vec = [sum(vec[i::L]) for i in range(L)]
-    out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
-    for k in range(phi, len(vec)):
-        c = vec[k]
-        if c:
-            row = ctx.pow_table[k]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return out
+    L = ctx.level
+    v = np.zeros(-(-max(len(vec), L) // L) * L, dtype=object)
+    v[: len(vec)] = vec
+    rows, values, starts = ctx.fold
+    return np.add.reduceat(v.reshape(-1, L).sum(axis=0)[rows] * values, starts).tolist()
 
 
 def _fold(level: int, vec: list[int], den: int) -> "CycNum":

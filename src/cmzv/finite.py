@@ -119,12 +119,11 @@ def _inverse_powers(p: int, kmax: int) -> np.ndarray:
     """Row k - 1 holds n^-k mod p for n = 1..p-1 as int64, for k = 1..kmax.
 
     Products of two residues fit in int64 only for p < 2^31, the bound of
-    nested_sum; it is checked here, before the inverse table is built.
+    nested_sum; inverse_table raises above it, before any array is made.
     """
-    if p >= 2**31:
-        raise ValueError(f"int64 residues need p < 2^31, got {p}")
+    inverse = inverse_table(p)
     powers = np.empty((kmax, p - 1), dtype=np.int64)
-    powers[0] = inverse_table(p)[1:]
+    powers[0] = inverse[1:]
     for k in range(1, kmax):
         np.remainder(powers[k - 1] * powers[0], p, out=powers[k])
     return powers

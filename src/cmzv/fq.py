@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
 
 
@@ -49,17 +51,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    """base^e mod p entrywise, base an int64 array with entries in [0, p).
+
+    Square-and-multiply over the whole array; for p < 2^31 every product of
+    two residues stays below 2^62.
+    """
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result = result * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return result
+
+
 def inverse_table(p: int) -> list[int]:
-    """Inverses of 1..p-1 mod p by one batch-inversion pass."""
-    prefix = [1] * p
-    for n in range(1, p):
-        prefix[n] = prefix[n - 1] * n % p
-    inv_all = pow(prefix[p - 1], p - 2, p)
-    out = [0] * p
-    for n in range(p - 1, 0, -1):
-        out[n] = prefix[n - 1] * inv_all % p
-        inv_all = inv_all * n % p
-    return out
+    """Inverses of 1..p-1 mod p as n^(p-2), with 0 at index 0."""
+    if p >= 2**31:
+        raise ValueError(f"int64 residues need p < 2^31, got {p}")
+    return [0] + pow_mod(np.arange(1, p, dtype=np.int64), p - 2, p).tolist()
 
 
 # ---- dense polynomial arithmetic over F_p ---------------------------------

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, _fold
-from .fq import is_prime
+from .cyclotomic import CycNum, _fold, _prime_factors
+from .fq import is_prime, pow_mod
 from .words import Index, nested_sum
 
 EXACT_LEVEL_LIMIT = 1200
@@ -66,22 +66,25 @@ def _prime_roots(L: int, count: int) -> list[tuple[int, np.ndarray, np.ndarray]]
     """The first `count` primes p = 1 (mod L) below 2^31, counted down from it.
 
     Each comes with w[t] = omega^t and inv[t] = 1/(1 - omega^t) mod p for
-    t = 0..L-1 (inv[0] unused), omega a primitive L-th root of unity mod p.
-    Memoised per L.
+    t = 0..L-1 (inv[0] = 0, unused), omega = a^((p-1)/L) for the least
+    a >= 2 whose power has order exactly L: omega^(L/q) = a^((p-1)/q) != 1
+    for each prime q | L.  w is built by doubling, w[s:2s] = w[:s] omega^s,
+    and inv as (1 - w)^(p-2).  Memoised per L.
     """
     found = _PRIME_ROOTS.setdefault(L, [])
     p = found[-1][0] - L if found else 1 + (2**31 - 2) // L * L
+    qs = _prime_factors(L)
     while len(found) < count:
         if is_prime(p):
-            for a in range(2, p):
-                w = [1]
-                root = pow(a, (p - 1) // L, p)
-                for _ in range(L - 1):
-                    w.append(w[-1] * root % p)
-                if 1 not in w[1:]:  # omega has order exactly L
-                    break
-            inv = [0] + [pow(1 - x, p - 2, p) for x in w[1:]]
-            found.append((p, np.array(w, dtype=np.int64), np.array(inv, dtype=np.int64)))
+            a = 2
+            while any(pow(a, (p - 1) // q, p) == 1 for q in qs):
+                a += 1
+            omega = pow(a, (p - 1) // L, p)
+            w, s = np.ones(L, dtype=np.int64), 1
+            while s < L:
+                w[s : 2 * s] = w[: min(s, L - s)] * pow(omega, s, p) % p
+                s *= 2
+            found.append((p, w, pow_mod((1 - w) % p, p - 2, p)))
         p -= L
     return found[:count]
 
@@ -184,14 +187,8 @@ def qsum_exact(m: int, index: Index) -> CycNum:
 
 # the significand of numpy's longdouble: 64 bits on x86-64, 53 where it is double
 LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1
-
-
-def _longdouble_pi():
-    import mpmath
-
-    # 40 digits: enough for a 113-bit longdouble
-    with mpmath.workdps(50):
-        return np.longdouble(mpmath.nstr(mpmath.pi, 40))
+# pi to 40 digits, enough for a 113-bit longdouble
+_LONGDOUBLE_PI = np.longdouble("3.141592653589793238462643383279502884197")
 
 
 def float_types(precision: int):
@@ -202,7 +199,7 @@ def float_types(precision: int):
     if precision <= 53:
         return np.float64, np.complex128, np.pi
     if precision <= LONGDOUBLE_BITS:
-        return np.longdouble, np.clongdouble, _longdouble_pi()
+        return np.longdouble, np.clongdouble, _LONGDOUBLE_PI
     return None
 
 

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmzv.cyclotomic import CycNum, cyclotomic_polynomial, embed_complex, euler_phi
+from cmzv.cyclotomic import (
+    CycNum,
+    _ctx,
+    _poly_mul,
+    _reduce_vector,
+    cyclotomic_polynomial,
+    embed_complex,
+    euler_phi,
+)
 
 
 def test_euler_phi_small():
@@ -35,6 +43,43 @@ def test_cyclotomic_polynomial_product():
                     poly = cyclotomic_polynomial(d)
                     prod *= sum(c * x**i for i, c in enumerate(poly))
             assert prod == x**n - 1
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    # exactly, as coefficient vectors, for every n below 700
+    for n in range(1, 700):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _poly_mul(prod, list(cyclotomic_polynomial(d)))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_cyclotomic_polynomial_105_has_coefficient_minus_two():
+    # the least n whose Phi_n has a coefficient outside {-1, 0, 1}
+    poly = cyclotomic_polynomial(105)
+    assert len(poly) == 49 and poly[7] == poly[41] == -2
+    assert all(abs(c) <= 1 for i, c in enumerate(poly) if i not in (7, 41))
+
+
+def loop_reduce_vector(vec, level):
+    """The fold as a Python double loop over the rows of z^k (the reference)."""
+    ctx = _ctx(level)
+    phi = ctx.phi
+    if len(vec) > level:
+        vec = [sum(vec[i::level]) for i in range(level)]
+    out = list(vec[:phi]) + [0] * max(0, phi - len(vec))
+    for k in range(phi, len(vec)):
+        for i in range(phi):
+            out[i] += vec[k] * ctx.pow_table[k][i]
+    return out
+
+
+@given(st.integers(1, 70), st.data())
+def test_reduce_vector_matches_the_loop_fold(level, data):
+    size = data.draw(st.integers(1, 3 * level + 2))
+    vec = data.draw(st.lists(st.integers(-(2**130), 2**130), min_size=size, max_size=size))
+    assert _reduce_vector(vec, _ctx(level)) == loop_reduce_vector(vec, level)
 
 
 def test_root_arithmetic_level_3():

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cmzv.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
@@ -12,6 +13,7 @@ from cmzv.fq import (
     inverse_table,
     is_prime,
     make_fq_context,
+    pow_mod,
     to_residue_field,
 )
 
@@ -30,6 +32,34 @@ def test_inverse_table():
         assert inv[0] == 0
         for n in range(1, p):
             assert n * inv[n] % p == 1
+
+
+PRIMES = [n for n in range(2, 10**5) if is_prime(n)]
+
+
+@given(st.sampled_from(PRIMES), st.lists(st.integers(0, 10**5), max_size=20), st.integers(0, 10**6))
+@example(2, [0, 1], 0)
+@example(3, [0, 1, 2], 1)
+def test_pow_mod_and_inverse_table_agree_with_pow(p, base, e):
+    inv = inverse_table(p)
+    assert len(inv) == p and inv[0] == 0
+    assert (np.arange(1, p) * np.array(inv[1:]) % p == 1).all()
+    base = [b % p for b in base]
+    assert pow_mod(np.array(base, dtype=np.int64), e, p).tolist() == [pow(b, e, p) for b in base]
+
+
+def test_pow_mod_near_int64_limit():
+    # at p = 2^31 - 1 every product of two residues comes near 2^62
+    p = 2**31 - 1
+    base = [p - 1, p - 2, 2**30, 46341, 1, 0]
+    for e in (0, 1, 2, 3, p - 2, p - 1, 2**40 + 7):
+        got = pow_mod(np.array(base, dtype=np.int64), e, p)
+        assert got.tolist() == [pow(b, e, p) for b in base]
+
+
+def test_inverse_table_rejects_primes_past_int64_range():
+    with pytest.raises(ValueError):
+        inverse_table(2147483659)  # the first prime above 2^31
 
 
 def test_context_split_prime():

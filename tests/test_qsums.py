@@ -3,24 +3,31 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmzv.cyclotomic import CycNum, embed_complex
+from cmzv.fq import is_prime
 from cmzv.qsums import (
     EXACT_LEVEL_LIMIT,
+    LONGDOUBLE_BITS,
     _height,
     _prime_roots,
     _scaled_sum,
     asymptotic_probe,
     default_precision,
     field_op_counter,
+    float_types,
     qsum_exact,
     qsum_numeric,
     truncated_cmzv_exact,
@@ -166,6 +173,67 @@ def test_exact_matches_frozen_reference():
     m, ix = 300, Index((3, 2, 1), (1, 2, 0), 3)
     primes = [p for p, _, _ in _prime_roots(300, 4)]
     assert math.prod(primes[:3]) <= 2 * _height(m, ix) < math.prod(primes)
+
+
+def brute_prime_roots(L, count):
+    """The primes p = 1 (mod L) counted down from 2^31 and, at each, the
+    least a >= 2 whose power a^((p-1)/L) has its order, found by listing
+    its powers, exactly L."""
+    out, p = [], max(p for p in range(2**31 - L, 2**31) if p % L == 1 % L)
+    while len(out) < count:
+        if is_prime(p):
+            for a in itertools.count(2):
+                omega = pow(a, (p - 1) // L, p)
+                x, order = omega, 1
+                while x != 1:
+                    x, order = x * omega % p, order + 1
+                if order == L:
+                    break
+            out.append((p, omega))
+        p -= L
+    return out
+
+
+@pytest.mark.parametrize("L", [*range(1, 131), 180, 240, 300, 420, 600])
+def test_prime_roots_are_the_least_a_roots_of_order_L(L):
+    # the CRT joins of _scaled_sum and the frozen reference rest on this choice
+    got = _prime_roots(L, 4)
+    assert [p for p, _, _ in got] == [p for p, _ in brute_prime_roots(L, 4)]
+    for (p, w, inv), (_, omega) in zip(got, brute_prime_roots(L, 4)):
+        assert w.tolist() == [pow(omega, t, p) for t in range(L)]
+        assert inv[0] == 0
+        assert (inv[1:] * ((1 - w[1:]) % p) % p == 1).all()
+
+
+def test_no_mpmath_import_at_64_bits_or_fewer():
+    # the calls of the benchmark's evals workload, and a symmetric value at
+    # precision 64, in a fresh interpreter
+    code = """
+import sys
+import cmzv
+ix = cmzv.Index((2, 1, 1), (1, 2, 1), 3)
+for m in (60, 120, 180, 240):
+    cmzv.qsum_exact(m, ix)
+cmzv.qsum_exact(40, cmzv.Index((2, 1, 1), (1, 3, 1), 4))
+cmzv.finite_residue(ix, 10007, cmzv.make_fq_context(10007, 3))
+cmzv.asymptotic_probe(cmzv.parse_index("k=2,1;e=1,2", 3), 1, [10**3, 10**4, 10**5], 53)
+cmzv.qsum_numeric(10**4, ix)
+cmzv.truncated_cmzv_exact(60, cmzv.Index((2, 1, 1), (1, 2, 3), 5))
+cmzv.symmetric_cmzv(1, cmzv.parse_index("k=2,1,1;e=1,0,2", 3), cmzv.MzvEvalConfig(precision=64))
+assert "mpmath" not in sys.modules, "mpmath imported"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(LONGDOUBLE_BITS != 64, reason="longdouble is not the 64-bit x87 format")
+def test_longdouble_pi_is_mpmath_pi_rounded():
+    with mpmath.workprec(64):
+        man, exp = (+mpmath.pi).man_exp
+    want = np.ldexp(np.longdouble(man >> 32) * 2**32 + np.longdouble(man & 0xFFFFFFFF), exp)
+    assert float_types(64)[2] == want
 
 
 def cyclic_mul(a, b):

@@ -37,35 +37,45 @@ def euler_phi(n: int) -> int:
     return n // math.prod(qs) * math.prod(q - 1 for q in qs)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first.
-
-    The Moebius product of x^d - 1 over d | n: the product of the binomials
-    with mu(n/d) = 1, divided exactly by those with mu(n/d) = -1.  Every
-    partial quotient is a product of cyclotomic polynomials, so each division
-    by x^d - 1 is exact: the quotient's coefficients are the negated prefix
-    sums, taken along stride d, of the dividend's.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
+def _moebius_binomials(n: int) -> tuple[list[int], list[int]]:
+    """The d | n with mu(n/d) = 1, n first, and those with mu(n/d) = -1."""
     qs = _prime_factors(n)
     plus, minus = [], []
     for r in range(len(qs) + 1):
         for S in itertools.combinations(qs, r):
             (minus if r % 2 else plus).append(n // math.prod(S))
-    poly = np.ones(1, dtype=object)  # Python integers: no bound on the coefficients
-    for d in plus:
-        nxt = np.zeros(len(poly) + d, dtype=object)
-        nxt[d:] = poly
-        nxt[: len(poly)] -= poly
-        poly = nxt
-    for d in minus:
-        k = len(poly) - d
-        a = np.zeros(-(-k // d) * d, dtype=object)
-        a[:k] = poly[:k]
-        poly = -np.cumsum(a.reshape(-1, d), axis=0).ravel()[:k]
-    return tuple(poly.tolist())
+    return plus, minus
+
+
+def _binomial_series(times, over, length: int) -> np.ndarray:
+    """prod(x^d - 1 for d in times) / prod(x^d - 1 for d in over) mod x^length.
+
+    Python integers: no bound on the coefficients.  Each binomial costs
+    O(length): a product shifts and subtracts, and a quotient, a power series
+    as x^d - 1 has constant term -1, takes negated prefix sums along stride d.
+    """
+    s = np.zeros(length, dtype=object)
+    s[0] = 1
+    for d in times:
+        s = np.concatenate((np.zeros(d, dtype=object), s))[:length] - s
+    for d in over:
+        a = np.zeros(-(-length // d) * d, dtype=object)
+        a[:length] = s
+        s = -np.cumsum(a.reshape(-1, d), axis=0).ravel()[:length]
+    return s
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    The Moebius product of x^d - 1 over d | n: the product of the binomials
+    with mu(n/d) = 1, over those with mu(n/d) = -1, as a power series mod
+    x^(phi(n) + 1).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return tuple(_binomial_series(*_moebius_binomials(n), euler_phi(n) + 1).tolist())
 
 
 class _LevelContext:
@@ -74,28 +84,28 @@ class _LevelContext:
     __slots__ = ("level", "phi", "pow_table", "fold")
 
     def __init__(self, level: int):
-        self.level = level
+        self.level = L = level
         mod = cyclotomic_polynomial(level)
-        self.phi = len(mod) - 1
-        # pow_table[k] = coordinates of z^k on the power basis, 0 <= k < level
-        phi = self.phi
-        table = []
-        cur = [0] * phi
-        cur[0] = 1
-        for _ in range(level):
-            table.append(tuple(cur))
-            nxt = [0] + cur[: phi - 1]
-            lead = cur[phi - 1]
-            if lead:
-                for i in range(phi):
-                    nxt[i] -= lead * mod[i]
-            cur = nxt
-        self.pow_table = tuple(table)
+        self.phi = phi = len(mod) - 1
+        # pow_table[k] = coordinates of z^k on the power basis, 0 <= k < level.
+        # With Psi = (x^L - 1)/Phi, x^k Psi mod x^L - 1 is (x^k mod Phi) Psi
+        # (both sides have degree < L), and 1/Psi = -Phi mod x^L, so
+        # x^k mod Phi = -(Phi * (x^k Psi mod x^L - 1)) mod x^phi: row k,
+        # column i is -P[(i - k) % L, i], P[d, i] the sum over t <= i of
+        # Phi[t] Psi[(d - t) % L], at most phi max|Phi| max|Psi| in size.
+        plus, minus = _moebius_binomials(level)
+        psi = _binomial_series(minus, plus[1:], L - phi + 1)  # degree L - phi
+        kind = np.int64 if phi * max(map(abs, mod)) * max(map(abs, psi)) < 2**63 else object
+        ext = np.zeros(L + phi - 1, dtype=kind)  # ext[phi - 1 + j] = Psi[j]
+        ext[phi - 1 : L] = psi
+        t, k = np.arange(phi), np.arange(L)[:, None]
+        P = np.cumsum(ext[phi - 1 + k - t] * np.array(mod[:phi], dtype=kind), axis=1)
+        table = -np.concatenate((P, P))[t + L - k, t]
+        self.pow_table = tuple(map(tuple, table.tolist()))
         # the nonzero entries of pow_table, column by column, for the fold;
         # rows k < phi are unit vectors, so no column's segment is empty
-        dense = np.array(table, dtype=object)
-        cols, rows = np.nonzero(dense.T)
-        self.fold = (rows, dense[rows, cols], np.searchsorted(cols, np.arange(phi)))
+        cols, rows = np.nonzero(table.T)
+        self.fold = (rows, table[rows, cols].astype(object), np.searchsorted(cols, np.arange(phi)))
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,11 @@
 """Integer lattice reduction, rational reconstruction and exact echelon forms.
 
-lll_reduce keeps the basis exact, as int64 rows, and takes its decisions from
-float64 Gram-Schmidt data recomputed from those rows (Schnorr-Euchner).  The
-decisions are conservative: a row counts as size-reduced at |mu| <= 1/2, and
-as Lovasz reduced only with a margin of 2^-20 over delta, which covers the
-rounding of the float data, so a reduced verdict holds in exact arithmetic
-too (up to rounding at an exact tie |mu| = 1/2).
+lll_reduce keeps the basis exact, as int64 rows, and decides from float64
+Gram-Schmidt data recomputed from them (Schnorr-Euchner), conservatively:
+size-reduced at |mu| <= 1/2, Lovasz reduced with a margin of 2^-20 over delta.
+The basis depends bit for bit on the rounding of its np.einsum products and
+elementwise updates (BLAS @ changed it after 46 of 96 relation-lattice feeds),
+as many multipliers lie within 1e-9 of 1/2: that needs an exact tie rule.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ def rational_reconstruct(r: int, modulus: int, bound: int) -> Fraction | None:
         raise ValueError("modulus must exceed 1")
     if bound < 1:
         raise ValueError("bound must be positive")
-    r %= modulus
-    r0, r1 = modulus, r
+    r0, r1 = modulus, r % modulus
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -54,10 +53,8 @@ class IntLattice:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.basis:
-            width = len(self.basis[0])
-            if any(len(row) != width for row in self.basis):
-                raise ValueError("ragged basis")
+        if len({len(row) for row in self.basis}) > 1:
+            raise ValueError("ragged basis")
 
     @property
     def rank(self) -> int:
@@ -91,23 +88,30 @@ def _visit(basis: GSOBasis, k: int, lo: int = 0) -> None:
     """Size-reduce row k against rows lo.. (and k-1) and set its GSO data.
 
     Multipliers are rounded from the last row down, each correcting the
-    earlier coefficients through mu.  After a large one the coefficients are
-    recomputed from the exact row; the rows below lo join in once skipping
-    them would cost precision (the row cancels more than 2^15 of its length).
-    Two Gram-Schmidt passes (CGS2) keep b*_k orthogonal.
+    earlier coefficients through mu: Python floats in blocks of 64 to 96
+    rows, a numpy fold below.  A large one has the coefficients recomputed
+    from the exact row; rows below lo join in once skipping them would cost
+    precision (a 2^15-fold cancellation).  CGS2 keeps b*_k orthogonal.
     """
     b, star, mu, norm2 = basis.rows, basis.star[:k], basis.mu, basis.norm2[:k]
     v = b[k].astype(np.float64)
     coef = np.einsum("ij,j->i", star, v) / norm2
     low = max(0, min(lo, k - 1))
     for last in range(15, -1, -1):
-        at, take, l = [], [], k
-        while (big := (np.abs(coef[low:l]) > 0.5).nonzero()[0]).size:
-            l = low + int(big[-1])
-            at.append(l)
-            take.append(np.rint(coef[l]))
-            coef[:l] -= take[-1] * mu[l, :l]
-            coef[l] -= take[-1]
+        at, take, hi = [], [], k
+        while hi > low:  # blocks [s, hi) from the top; a fold costs some 64 updates
+            s, new = (hi - 64 if hi > 96 else 0), len(at)
+            c = coef[s:hi].tolist()
+            for l in range(hi - 1, max(s, low) - 1, -1):
+                if abs(x := c[l - s]) > 0.5:  # false for NaN
+                    at.append(l)
+                    take.append(t := float(round(x)))  # half to even, as np.rint
+                    c[: l - s], c[l - s] = [a - t * m for a, m in zip(c, mu[l, s:l].tolist())], x - t
+            coef[s:hi] = c
+            if s and len(at) > new:  # a left fold: the same subtractions, in order
+                steps = np.array(take[new:])[:, None] * mu[at[new:], :s]
+                coef[:s] = np.subtract.reduce(np.vstack((coef[:s], steps)))
+            hi = s
         if at:
             b[k] -= np.array(take, dtype=np.int64) @ b[at]
             v = b[k].astype(np.float64)
@@ -136,9 +140,7 @@ def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
     Lovasz parameter (rational, 1/4 < delta < 1).  Raises ValueError on
     linearly dependent input.
     """
-    if isinstance(delta, float):
-        delta = Fraction(delta).limit_denominator(10**9)
-    delta = Fraction(delta)
+    delta = Fraction(delta).limit_denominator(10**9) if isinstance(delta, float) else Fraction(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise ValueError("delta must lie in (1/4, 1)")
     basis = lattice
@@ -154,18 +156,16 @@ def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
     # rows lo.. (and their neighbour), then against all in a last pass that
     # recomputes their data from the exact rows.  A swap moves row k down
     # with its data updated in closed form, so it needs no visit there.
-    k = lo = basis.fresh
-    moved = False
+    k, lo, moved = basis.fresh, basis.fresh, False
     while k < len(b):
         if not moved:
             _visit(basis, k, lo)
-        if k and norm2[k] < (swap_below - mu[k, k - 1] ** 2) * norm2[k - 1]:
-            star[k - 1] = star[k] + mu[k, k - 1] * star[k - 1]
+        if k and norm2[k] < (swap_below - (m := float(mu[k, k - 1])) * m) * norm2[k - 1]:
+            np.add(star[k], m * star[k - 1], out=star[k - 1])
             mu[k - 1, : k - 1] = mu[k, : k - 1]
             norm2[k - 1] = np.einsum("i,i->", star[k - 1], star[k - 1])
-            b[[k - 1, k]] = b[[k, k - 1]]
-            k -= 1
-            lo, moved = min(lo, k), True
+            b[k - 1], b[k] = b[k], b[k - 1].copy()
+            k, lo, moved = k - 1, min(lo, k - 1), True
         else:
             k, moved = k + 1, False
     for k in range(lo, len(b)):

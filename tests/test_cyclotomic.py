@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cmzv.cyclotomic import (
     CycNum,
     _ctx,
+    _LevelContext,
     _poly_mul,
     _reduce_vector,
     cyclotomic_polynomial,
@@ -80,6 +81,28 @@ def test_reduce_vector_matches_the_loop_fold(level, data):
     size = data.draw(st.integers(1, 3 * level + 2))
     vec = data.draw(st.lists(st.integers(-(2**130), 2**130), min_size=size, max_size=size))
     assert _reduce_vector(vec, _ctx(level)) == loop_reduce_vector(vec, level)
+
+
+def loop_pow_table(level):
+    """The rows of z^k mod Phi_level, one shift and subtract per power (the reference)."""
+    mod = cyclotomic_polynomial(level)
+    phi = len(mod) - 1
+    table, cur = [], [1] + [0] * (phi - 1)
+    for _ in range(level):
+        table.append(tuple(cur))
+        nxt, lead = [0] + cur[: phi - 1], cur[phi - 1]
+        cur = [a - lead * m for a, m in zip(nxt, mod)] if lead else nxt
+    return tuple(table)
+
+
+def test_pow_table_matches_the_loop():
+    for level in [*range(1, 401), 1155, 1200]:
+        ctx = _LevelContext(level)
+        assert ctx.pow_table == loop_pow_table(level)
+        assert all(type(x) is int for row in ctx.pow_table for x in row)
+        rows, values, starts = ctx.fold
+        assert all(type(x) is int for x in values)
+        assert len(values) == sum(x != 0 for row in ctx.pow_table for x in row)
 
 
 def test_root_arithmetic_level_3():

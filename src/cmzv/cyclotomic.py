@@ -81,13 +81,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _LevelContext:
     """Cached reduction data for one cyclotomic level."""
 
-    __slots__ = ("level", "phi", "pow_table", "fold")
+    __slots__ = ("level", "phi", "fold", "_table", "_pow_table")
 
     def __init__(self, level: int):
         self.level = L = level
         mod = cyclotomic_polynomial(level)
         self.phi = phi = len(mod) - 1
-        # pow_table[k] = coordinates of z^k on the power basis, 0 <= k < level.
+        # table[k] = coordinates of z^k on the power basis, 0 <= k < level.
         # With Psi = (x^L - 1)/Phi, x^k Psi mod x^L - 1 is (x^k mod Phi) Psi
         # (both sides have degree < L), and 1/Psi = -Phi mod x^L, so
         # x^k mod Phi = -(Phi * (x^k Psi mod x^L - 1)) mod x^phi: row k,
@@ -101,11 +101,21 @@ class _LevelContext:
         t, k = np.arange(phi), np.arange(L)[:, None]
         P = np.cumsum(ext[phi - 1 + k - t] * np.array(mod[:phi], dtype=kind), axis=1)
         table = -np.concatenate((P, P))[t + L - k, t]
-        self.pow_table = tuple(map(tuple, table.tolist()))
-        # the nonzero entries of pow_table, column by column, for the fold;
+        self._table, self._pow_table = table, None
+        # the nonzero entries of table, column by column, for the fold;
         # rows k < phi are unit vectors, so no column's segment is empty
         cols, rows = np.nonzero(table.T)
         self.fold = (rows, table[rows, cols].astype(object), np.searchsorted(cols, np.arange(phi)))
+
+    @property
+    def pow_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row k: the coordinates of z^k on the power basis as ints, 0 <= k < level.
+
+        Built on the first read, as only CycNum.root_power reads it.
+        """
+        if self._pow_table is None:
+            self._pow_table = tuple(map(tuple, self._table.tolist()))
+        return self._pow_table
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fq import BadPrimeError, Fq, FqContext, inverse_table, is_prime, make_fq_context
+from .fq import BadPrimeError, Fq, FqContext, is_prime, make_fq_context
+from .fq import inverse_row as inverse_table  # the int64 row, with no list round trip
 from .words import Index, _parse_fields, format_index, nested_sum
 
 
@@ -123,35 +124,95 @@ def _inverse_powers(p: int, kmax: int) -> np.ndarray:
     """
     inverse = inverse_table(p)
     powers = np.empty((kmax, p - 1), dtype=np.int64)
-    powers[0] = inverse[1:]
+    powers[0] = inverse
     for k in range(1, kmax):
         np.remainder(powers[k - 1] * powers[0], p, out=powers[k])
     return powers
 
 
+class _Trie:
+    """The suffix trie of nonempty generators of one model, level by level.
+
+    keys[i] holds the slot codes of generator rows[i], innermost slot first.
+    Level d (0-based) has one node per distinct suffix of depth d + 1 of a
+    generator, the generator itself included; a suffix that is no generator
+    is an internal node, summed but never output.  Row i of nodes[d] is
+    (slot, up) for node i: the code of its outer slot and the node of its
+    suffix in level d - 1.  Generators and nodes are in the order of the
+    keys, so a suffix's generators are adjacent: the run a..b-1 of
+    generators uses exactly the nodes lo[d, a]..hi[d, b - 1] of level d (lo
+    the first node of a generator at or after a, hi the last at or before
+    b - 1), a sub-trie.  Generator at[i] is node node[i] of the levels laid
+    end to end.
+    """
+
+    def __init__(self, rows, keys):
+        ranked = sorted(zip(keys, rows))
+        keys, self.at = [key for key, _ in ranked], np.array([row for _, row in ranked])
+        depth = max(map(len, keys))
+        nodes = [[] for _ in range(depth)]  # level d: slot, up, slot, up, ...
+        self.hi = np.empty((depth, len(keys)), dtype=np.int64)
+        shared, prev = [], ()  # shared[g]: the levels generator g shares with g - 1
+        for g, key in enumerate(keys):
+            same = 0
+            while same < min(len(key), len(prev)) and key[same] == prev[same]:
+                same += 1
+            for d in range(same, len(key)):  # new nodes, each over the last one of level d - 1
+                up = len(nodes[d - 1]) // 2 - 1 if d else 0
+                nodes[d] += key[d], up
+            self.hi[:, g] = [len(level) // 2 - 1 for level in nodes]
+            shared.append(same)
+            prev = key
+        self.nodes = [np.array(level, dtype=np.int64).reshape(-1, 2) for level in nodes]
+        self.widths = [len(level) for level in self.nodes]
+        self.offsets = [0, *itertools.accumulate(self.widths)]
+        last = np.array([len(key) - 1 for key in keys])
+        self.node = np.array(self.offsets)[last] + self.hi[last, np.arange(len(keys))]
+        self.lo = np.zeros_like(self.hi)
+        self.lo[:, 1:] = self.hi[:, :-1] + (np.arange(depth)[:, None] >= shared[1:])
+
+    def parts(self, width: int):
+        """Runs of generators whose sub-tries have at most `width` nodes a
+        level, each as the slices of its nodes, innermost level first."""
+        if max(self.widths) <= width:
+            return [[slice(0, w) for w in self.widths]]
+        out, a = [], 0
+        while a < len(self.at):
+            b = min(int(np.searchsorted(hi, lo[a] + width)) for lo, hi in zip(self.lo, self.hi))
+            spans = (slice(lo[a], hi[b - 1] + 1) for lo, hi in zip(self.lo, self.hi))
+            out.append(list(itertools.takewhile(lambda s: s.start < s.stop, spans)))
+            a = b
+        return out
+
+
 class _Slots:
-    """gens grouped by depth and model, with each group's rows and (G, r)
-    arrays: colors, or positions in `used` (the codes f*kmax + k-1 of the
-    (class, exponent) pairs of congruence slots), and exponents - 1.  They
-    depend on no prime, so a table builds them once for all its primes."""
+    """gens as the suffix tries of their congruence and colored members.
+
+    A colored slot's code is e*kmax + k-1.  A congruence slot's is its
+    position in `used`, the sorted codes f*kmax + k-1 of the (class,
+    exponent) pairs that occur.  They depend on no prime, so a table builds
+    them once for all its primes."""
 
     def __init__(self, gens):
         self.size, self.level = len(gens), gens[0].level if gens else 1
-        self.kmax = max((max(g.ks) for g in gens if g.ks), default=1)
+        self.kmax = K = max((max(g.ks) for g in gens if g.ks), default=1)
         pairs = {(f, k) for g in gens if isinstance(g, CongruenceIndex) for f, k in zip(g.fs, g.ks)}
-        self.used = np.array(sorted(f * self.kmax + k - 1 for f, k in pairs), dtype=np.int64)
-        groups = {}
-        for i, g in enumerate(gens):
-            groups.setdefault((g.depth, isinstance(g, Index)), []).append(i)
-        self.batches = []  # (depth, colored, rows, colors or positions, exponents - 1)
-        for (r, colored), at in groups.items():
-            cs = np.array([gens[i].es if colored else gens[i].fs for i in at], dtype=np.int64)
-            ks = np.array([gens[i].ks for i in at], dtype=np.int64) - 1
-            cs = cs if colored else np.searchsorted(self.used, cs * self.kmax + ks)
-            self.batches.append((r, colored, np.array(at), cs, ks))
+        self.used = np.array(sorted(f * K + k - 1 for f, k in pairs), dtype=np.int64)
+        position = {c: j for j, c in enumerate(self.used.tolist())}
+        self.empty = [i for i, g in enumerate(gens) if not g.ks]
+        self.tries = {}  # colored -> _Trie
+        for colored in (False, True):
+            at = [i for i, g in enumerate(gens) if g.ks and isinstance(g, Index) == colored]
+            if not at:
+                continue
+            keys = []
+            for g in map(gens.__getitem__, at):
+                codes = [c * K + k - 1 for c, k in zip(g.es if colored else g.fs, g.ks)][::-1]
+                keys.append(tuple(codes if colored else map(position.__getitem__, codes)))
+            self.tries[colored] = _Trie(at, keys)
 
 
-_CELLS = 1 << 20  # int64 entries in one (G, N, p-1) array of a colored pass
+_CELLS = 1 << 20  # int64 entries in one array of a trie level's pass
 
 
 def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
@@ -159,41 +220,48 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
 
     Row i of the (G, d) int64 result holds generator i in the field of ctx;
     without ctx (congruence generators only) d = 1.  The n^-k rows are built
-    once.  Congruence generators of one depth share one int64 pass of
-    nested_sum over (G, p-1) columns, slot j the mask n = f_j (mod N) times
-    n^-k_j, each such product built once.  Colored ones of one depth share
-    one pass in F_p[Z/N] over (G, N, p-1) arrays, coordinate t the
-    coefficient of zeta^t, whose N sums map into F_(p^d) through the powers
-    of zeta in ctx, whatever d is.
+    once.  Each trie takes one int64 pass of nested_sum per level, one row
+    per node: its outer slot's terms times its suffix's row, prefix-summed,
+    so the last entry is the node's sum.  A congruence slot's terms are the
+    mask n = f (mod N) times n^-k, each such product built once.  Colored
+    rows live in F_p[Z/N], (W, N, p-1) arrays with coordinate t the
+    coefficient of zeta^t, and the suffix's row is first moved by
+    zeta^(e n); a generator's N sums map into F_(p^d) through the powers of
+    zeta in ctx, whatever d is.  Levels of more than _CELLS entries run as
+    sub-tries of runs of generators.
     """
     slots = gens if isinstance(gens, _Slots) else _Slots(gens)
     out = np.zeros((slots.size, 1 if ctx is None else ctx.d), dtype=np.int64)
-    for r, _, at, _, _ in slots.batches:
-        out[at, 0] = 0 if r else 1 % p  # the empty sum is 1
-    live = [b for b in slots.batches if 0 < b[0] < p]  # depth >= p leaves no term
-    if not live:
+    out[slots.empty, 0] = 1 % p  # the empty sum is 1
+    if not slots.tries:
         return out
     N, kmax = slots.level, slots.kmax
     powers, n = _inverse_powers(p, kmax), np.arange(1, p)
     masks = (n % N == np.arange(N)[:, None]).astype(np.int64)  # row f: the mask n = f (mod N)
     terms = masks[slots.used // kmax] * powers[slots.used % kmax]
-    for r, colored, at, cs, ks in live:
-        if not colored:
-            out[at, 0] = nested_sum(r, lambda j: terms[cs[:, j]], p)
-            continue
-        zeta = np.array([ctx.zeta_power(t).coeffs for t in range(N)], dtype=np.int64)
-        phase = np.arange(N)[:, None] * n % N  # row e: e n mod N
-        step = max(1, _CELLS // (N * p))  # generators per pass
-        for lo in range(0, len(at), step):
-            es, ex = cs[lo : lo + step], ks[lo : lo + step]
+    phase = np.arange(N)[:, None] * n % N  # row e: e n mod N
+    for colored, trie in slots.tries.items():
+        sums = np.zeros((trie.offsets[-1], N) if colored else trie.offsets[-1], dtype=np.int64)
+        for part in trie.parts(max(1, _CELLS // ((N if colored else 1) * p))):
+            part = part[: p - 1]  # a node of depth >= p has no term
 
             def column(j):
-                gather = (np.arange(N)[:, None] - phase[es[:, j], None]) % N  # t takes t - e_j n
-                w = powers[ex[:, j], None]
-                return w * (gather == 0) if j == r - 1 else (w, gather)
+                d = len(part) - 1 - j
+                slot, up = trie.nodes[d][part[d]].T
+                rows = up - part[d - 1].start if d else None
+                if not colored:
+                    return (terms[slot], None, rows) if d else terms[slot]
+                gather = (np.arange(N)[:, None] - phase[slot // kmax, None]) % N  # t takes t - e n
+                w = powers[slot % kmax, None]
+                return (w, gather, rows) if d else w * (gather == 0)
 
-            sums = nested_sum(r, column, p)  # (G, N), coordinate t the coefficient of zeta^t
-            out[at[lo : lo + step]] = (sums[..., None] * zeta % p).sum(axis=1) % p
+            for d, level in enumerate(nested_sum(len(part), column, p, levels=True)):
+                sums[trie.offsets[d] + part[d].start : trie.offsets[d] + part[d].stop] = level
+        if not colored:
+            out[trie.at, 0] = sums[trie.node]
+            continue
+        zeta = np.array([ctx.zeta_power(t).coeffs for t in range(N)], dtype=np.int64)
+        out[trie.at] = (sums[trie.node, :, None] * zeta % p).sum(axis=1) % p
     return out
 
 

@@ -67,11 +67,16 @@ def pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
-def inverse_table(p: int) -> list[int]:
-    """Inverses of 1..p-1 mod p as n^(p-2), with 0 at index 0."""
+def inverse_row(p: int) -> np.ndarray:
+    """Inverses of 1..p-1 mod p as n^(p-2), an int64 array of p - 1 entries."""
     if p >= 2**31:
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
-    return [0] + pow_mod(np.arange(1, p, dtype=np.int64), p - 2, p).tolist()
+    return pow_mod(np.arange(1, p, dtype=np.int64), p - 2, p)
+
+
+def inverse_table(p: int) -> list[int]:
+    """Inverses of 1..p-1 mod p as n^(p-2), with 0 at index 0."""
+    return [0, *inverse_row(p).tolist()]
 
 
 # ---- dense polynomial arithmetic over F_p ---------------------------------

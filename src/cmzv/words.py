@@ -135,7 +135,7 @@ class Index:
         return f"Index(k={list(self.ks)}, e={list(self.es)}, N={self.level})"
 
 
-def nested_sum(depth: int, column, p: int | None = None):
+def nested_sum(depth: int, column, p: int | None = None, levels: bool = False):
     """Sum over stop >= n_1 > ... > n_r >= 1 of prod_j column(j)[..., n_j - 1].
 
     The series of an Index, with the term and the ring left to the caller:
@@ -147,13 +147,21 @@ def nested_sum(depth: int, column, p: int | None = None):
     than one column, one product and one running prefix sum are alive at a
     time.  Any dtype with + and * will do: complex128 or clongdouble,
     object arrays of integers, rationals, CycNum or mpmath numbers, or
-    int64 with p given, reduced mod p after every product and every prefix
-    sum.  That is exact for p < 2^31: a product of two residues stays below
-    p^2 < 2^62, and a prefix sum of fewer than 2^32 residues below 2^63.
+    int64 columns of residues in [0, p) with p given.  Then every prefix sum
+    is reduced mod p, and every product too where stop (p - 1)^2 >= 2^63, so
+    that its prefix sum might not fit.  That is exact for p < 2^31: a
+    product of two residues stays below p^2 < 2^62, and a prefix sum of
+    fewer than 2^32 residues below 2^63.
 
-    A slot but the innermost may return (terms, gather): the inner prefix at
-    n - 1 is then first permuted along its second-to-last axis, entry t
-    taking entry gather[..., t, n - 1] (zeta^(e n) acting on F_p[Z/N]).
+    A slot but the innermost may return (terms, gather) or (terms, gather,
+    rows), gather possibly None.  With rows, row i of the slot continues row
+    rows[i] of the inner prefix sums, so slot j may have more or fewer rows
+    than slot j + 1 (a suffix trie: one row per distinct suffix).  With
+    gather, the inner prefix at n - 1 is then permuted along its
+    second-to-last axis, entry t taking entry gather[..., t, n - 1]
+    (zeta^(e n) acting on F_p[Z/N]).  With levels, the result is the list of
+    the sums of every slot, innermost first: slot j's row sums are those of
+    the tails j.. of the series.
 
     Needs 1 <= depth <= stop; callers return their own typed 1 or 0 outside.
     """
@@ -161,25 +169,33 @@ def nested_sum(depth: int, column, p: int | None = None):
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
     if depth < 1:
         raise ValueError("depth must be positive")
-    S = None  # S[..., i] = sum over slots j.. with n_j <= stop - S.shape[-1] + 1 + i
+    S, sums = None, []  # S[..., i] = sum over slots j.. with n_j <= stop - S.shape[-1] + 1 + i
     for j in range(depth - 1, -1, -1):
-        terms, gather = column(j), None
+        terms, gather, rows = column(j), None, None
         if type(terms) is tuple:
-            terms, gather = terms
+            terms, gather, rows = (*terms, None)[:3]
         stop = terms.shape[-1]
         if S is not None:
-            # slot j at n pairs with the inner prefix sum at n - 1
-            start, inner = stop - S.shape[-1] + 1, S[..., :-1]
+            # slot j at n pairs with the inner prefix sum at n - 1; S and
+            # inner are dropped once copied, so one of each is alive at a time
+            start, inner, S = stop - S.shape[-1] + 1, S[..., :-1], None
+            if rows is not None:
+                inner = inner[rows]
             if gather is not None:
                 inner = np.take_along_axis(inner, gather[..., start:], axis=-2)
             terms = terms[..., start:] * inner
+            del inner
         elif stop < depth:
             raise ValueError("depth exceeds the number of terms")
-        if p is not None:
+        if p is not None and stop * (p - 1) ** 2 >= 2**63:
             np.remainder(terms, p, out=terms)
         S = np.cumsum(terms, axis=-1, out=terms)
         if p is not None:
             np.remainder(S, p, out=S)
+        if levels:
+            sums.append(S[..., -1].copy())  # a copy: S itself goes at the next slot
+    if levels:
+        return sums
     return S[-1] if S.ndim == 1 else S[..., -1]
 
 

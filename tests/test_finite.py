@@ -1,5 +1,6 @@
 """Finite (truncate-below-p) evaluation in residue fields, and the residue tables."""
 
+import hashlib
 import itertools
 import json
 
@@ -548,3 +549,32 @@ def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     assert [line for line in lines if '"index":"k=1;e=1"' in line] == both
     assert len(lines) == 9
+
+
+def _all_congruence_generators(N, wmax):
+    """Every congruence index of weight 1..wmax at level N, admissible or not."""
+    return [
+        CongruenceIndex(ks, fs, N)
+        for w in range(1, wmax + 1)
+        for r in range(1, w + 1)
+        for ks in itertools.product(range(1, w + 1), repeat=r)
+        if sum(ks) == w
+        for fs in itertools.product(range(N), repeat=r)
+    ]
+
+
+@pytest.mark.parametrize(
+    "N, wmax, size, digest",
+    [
+        (3, 4, 255, "5ea636085ae91eea3fa83ea7e5aaa79bd0d66354dc8b3c8af968cd70dffb522e"),
+        (2, 5, 242, "e722291b8f628137e4be59c041d2fe881ab3d1b24e1fac41706a35818f53feb1"),
+    ],
+)
+def test_dim_path_cache_bytes_are_pinned(tmp_path, N, wmax, size, digest):
+    # the residue tables of `cmzv dim` for alpha = 1 at 36 primes from floor 50,
+    # as written by the per-depth batched kernel that the suffix trie replaced
+    gens = _all_congruence_generators(N, wmax)
+    assert len(gens) == size
+    build_residue_table(gens, primes_in_class(N, 1, 36, floor=50), cache_dir=str(tmp_path), jobs=1)
+    data = (tmp_path / f"residues_N{N}_a1.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

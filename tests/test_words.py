@@ -417,3 +417,32 @@ def test_nested_sum_one_dimensional_object_column_returns_the_element():
 def test_parse_index_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_index(text, 2)
+
+
+@given(st.integers(1, 4), st.data())
+def test_nested_sum_rows_continue_the_named_inner_rows(depth, data):
+    # slot j's row i continues row rows[j][i] of slot j + 1, as in a suffix
+    # trie; levels gives the sums of every slot, innermost first
+    stop = data.draw(st.integers(depth, 12))
+    p = data.draw(st.sampled_from([2, 101, 2**31 - 1]))
+    widths = [data.draw(st.integers(1, 4)) for _ in range(depth)]
+    row = st.lists(st.integers(0, p - 1), min_size=stop, max_size=stop)
+    columns = [data.draw(st.lists(row, min_size=w, max_size=w)) for w in widths]
+    rows = [
+        data.draw(st.lists(st.integers(0, widths[j + 1] - 1), min_size=widths[j], max_size=widths[j]))
+        for j in range(depth - 1)
+    ]
+
+    def column(j):
+        terms = np.array(columns[j], dtype=np.int64)
+        return terms if j == depth - 1 else (terms, None, np.array(rows[j]))
+
+    got = nested_sum(depth, column, p, levels=True)
+    assert [len(level) for level in got] == widths[::-1]
+    for j in range(depth):
+        for i in range(widths[j]):
+            chain, at = [], i
+            for slot in range(j, depth):
+                chain.append(columns[slot][at])
+                at = rows[slot][at] if slot < depth - 1 else None
+            assert got[depth - 1 - j][i] == brute_nested_sum(chain, stop) % p

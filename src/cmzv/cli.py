@@ -288,7 +288,7 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
 
     root = config.cache_dir or _default_cache_dir()
     files = _cache_files(root)
-    stored = (rec for path in files for rec in _load_cache(path))
+    stored = (rec for path in files for rec in _read_records(_load_cache(path)))
     if args.action == "stat":
         counts = Counter((rec["N"], rec["alpha"], rec["p"]) for rec in stored)
         rows = [(n, a, p, c) for (n, a, p), c in sorted(counts.items())]

@@ -12,10 +12,10 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -442,10 +442,11 @@ def _read_records(fh, bad: list | None = None):
 
 
 def _load_cache(path: str):
-    """The well-formed records of one cache file (see _read_records)."""
+    """The lines of one cache file, streamed; none where it is missing, and a
+    warning where it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            yield from _read_records(fh)
+            yield from fh
     except FileNotFoundError:
         pass
     except OSError as exc:
@@ -456,22 +457,102 @@ def _dump(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _line_template(N: int, alpha: int, p: int, ctx: FqContext) -> tuple[str, str, str]:
+    """start, middle and end of the line _dump writes for a record of the
+    class (N, alpha) at p in ctx: the line is start, the quoted index, middle,
+    the residue list and end.  start is the same at every prime."""
+    head = _dump({"v": 1, "N": N, "alpha": alpha, "p": p, "modulus": list(ctx.modulus),
+                  "zeta_image": list(ctx.zeta_coeffs), "index": "@", "residue": "#"})
+    start, rest = head.split('"@"')
+    middle, end = rest.split('"#"')
+    return start, middle, end
+
+
 def _table_lines(table: ResidueTable):
     """((p, index), line) per entry of a full table, sorted, each line as
-    _dump writes the record: one head per prime, made by _dump, around the
-    quoted index and the residue."""
+    _dump writes the record, from its prime's _line_template."""
     keyed = sorted((_generator_key(g), i) for i, g in enumerate(table.generators))
     quoted, order = [json.dumps(key) for key, _ in keyed], [i for _, i in keyed]
     for p in sorted(table.primes):
-        ctx = table.contexts[p]
-        head = _dump({"v": 1, "N": table.pclass.level, "alpha": table.pclass.alpha, "p": p,
-                      "modulus": list(ctx.modulus), "zeta_image": list(ctx.zeta_coeffs),
-                      "index": "@", "residue": "#"})
-        start, rest = head.split('"@"')
-        middle, end = rest.split('"#"')
+        start, middle, end = _line_template(table.pclass.level, table.pclass.alpha, p,
+                                            table.contexts[p])
         residues = table.values[order, table.col_of[p]].tolist()
         for (key, _), q, res in zip(keyed, quoted, residues):
             yield (p, key), f"{start}{q}{middle}[{','.join(map(str, res))}]{end}"
+
+
+def _shape(text: str) -> str:
+    """A regex matching text with each run of digits replaced by any digits."""
+    return re.sub("[0-9]+", "[0-9]+", re.escape(text))
+
+
+def _read_cache(lines, table: ResidueTable) -> tuple[list, list]:
+    """Fill the table's cells from cache lines; the records it does not consume.
+
+    A cell takes the residue of its first record whose context (modulus and
+    root image) is the table's.  Every other record is returned as read: in
+    the second list those after a consumed record of equal (p, index), to be
+    written back after its entry, in the first the rest.  A line exactly as
+    _table_lines writes a cell of the table fills it with no JSON decode;
+    each run of other lines goes through _read_records.
+    """
+    N, alpha, col_of = table.pclass.level, table.pclass.alpha, table.col_of
+    by_key = {_generator_key(g): i for i, g in enumerate(table.generators)}
+    by_quoted = {json.dumps(key): i for key, i in by_key.items()}
+    heads = {p: (list(ctx.modulus), list(ctx.zeta_coeffs)) for p, ctx in table.contexts.items()}
+    cells = [[None] * len(table.generators) for _ in table.primes]  # column -> row -> residue
+    columns = {}  # (middle, end) of a prime's template -> (p, column, cells of the column)
+    for p, j in col_of.items():
+        start, middle, end = _line_template(N, alpha, p, table.contexts[p])
+        columns[middle, end] = (p, j, cells[j])
+    if not columns:  # no usable prime, so no cell to fill
+        return list(_read_records(lines)), []
+    # the templates' shape, with d residues: middles and ends differ only in their digits
+    ints = "(?:0|[1-9][0-9]*)"  # as JSON writes them
+    d = table.values.shape[2]
+    residue = rf"{ints}(?:,{ints}){{{d - 1}}}"
+    shape = rf'{re.escape(start)}("[^"\\]*")({_shape(middle)})\[({residue})\]({_shape(end)})\Z'
+    match = re.compile(shape).match
+    kept, last, other = ([], []), None, []  # last: (column, row) of the last cell filled
+
+    def decode():  # the run of other lines, through _read_records
+        nonlocal last
+        for rec in _read_records(other):
+            i, j = by_key.get(rec["index"]), col_of.get(rec["p"])
+            if i is None or j is None or cells[j][i] is not None \
+                    or (rec["modulus"], rec["zeta_image"]) != heads[rec["p"]]:
+                kept[(j, i) == last].append(rec)
+            else:
+                cells[j][i] = rec["residue"]
+                last = (j, i)
+        other.clear()
+
+    for line in lines:
+        m = match(line)
+        if m is not None:
+            quoted, middle, digits, end = m.groups()
+            i, at = by_quoted.get(quoted), columns.get((middle, end))
+            if i is not None and at is not None:
+                p, j, column = at
+                residue = [int(digits)] if d == 1 else [*map(int, digits.split(","))]
+                if max(residue) < p:
+                    if other:  # earlier lines first: one of them may hold this cell
+                        decode()
+                    if column[i] is None:
+                        column[i] = residue
+                        last = (j, i)
+                        continue
+        other.append(line)
+    if other:
+        decode()
+    for j, column in enumerate(cells):
+        if None not in column:
+            table.values[:, j] = column
+            continue
+        rows = [i for i, residue in enumerate(column) if residue is not None]
+        if rows:
+            table.values[rows, j] = [column[i] for i in rows]
+    return kept
 
 
 def _store_cache(path: str, records: list[dict], table=None, after=()) -> None:
@@ -508,9 +589,17 @@ def store_records(records: list[dict], cache_dir: str | None = None) -> None:
     for (N, alpha), recs in by_class.items():
         path = _cache_path(root, N, alpha)
         merged = {}
-        for rec in itertools.chain(_load_cache(path), recs):
+        for rec in itertools.chain(_read_records(_load_cache(path)), recs):
             merged.setdefault(_record_key(rec), rec)
         _store_cache(path, list(merged.values()))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported on the first call: only
+    tables built with jobs > 1 need it, and the import costs every process."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _compute_column(args):
@@ -545,22 +634,8 @@ def build_residue_table(
     table = ResidueTable(pclass, generators, contexts=contexts)
     gens, values, col_of = table.generators, table.values, table.col_of
 
-    by_key = {_generator_key(g): i for i, g in enumerate(gens)}  # index -> row
-    heads = {p: (list(ctx.modulus), list(ctx.zeta_coeffs)) for p, ctx in contexts.items()}
     cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
-    # The records this table does not consume are written back as read: those
-    # after a consumed one (last) of equal (p, index) after its entry, the rest before.
-    kept, found, last = ([], []), {}, None  # found: (row, column) -> residue
-    for rec in _load_cache(cache_file) if use_cache else ():
-        p, key = rec["p"], rec["index"]
-        at = (by_key.get(key), col_of.get(p))
-        if None in at or at in found or (rec["modulus"], rec["zeta_image"]) != heads[p]:
-            kept[(p, key) == last].append(rec)
-        else:
-            found[at] = rec["residue"]
-            last = (p, key)
-    if found:
-        values[tuple(zip(*found))] = list(found.values())
+    kept = _read_cache(_load_cache(cache_file), table) if use_cache else None
 
     todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
     todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue

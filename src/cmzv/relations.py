@@ -423,13 +423,16 @@ def dimension_table(
         raise ValueError("alpha must be a unit modulo N")
     plan = []  # (weight, prime class, generators)
     class_gens = {}  # prime class -> generators of every weight that uses it
+    classes = {}  # floor -> prime class
     for weight in range(1, weight_max + 1):
         floor = config.prime_floor
         if floor is None:
             floor = max(weight + 2, 50)
-        pclass = primes_in_class(
-            N, alpha, config.train_primes + config.verify_primes, floor=floor
-        )
+        if floor not in classes:
+            classes[floor] = primes_in_class(
+                N, alpha, config.train_primes + config.verify_primes, floor=floor
+            )
+        pclass = classes[floor]
         gens = enumerate_generators(N, weight, "congruence")
         plan.append((weight, pclass, gens))
         class_gens.setdefault(pclass, []).extend(gens)

@@ -36,3 +36,15 @@ def test_readme_library_quick_start_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[1, 2, 4, 8]\n"
     assert any(tmp_path.iterdir())  # the residue cache went where the variable says
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only residue tables built with jobs > 1 need concurrent.futures
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, cmzv; print(*{m.split('.')[0] for m in sys.modules})"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "concurrent" not in loaded and "multiprocessing" not in loaded

@@ -81,7 +81,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _LevelContext:
     """Cached reduction data for one cyclotomic level."""
 
-    __slots__ = ("level", "phi", "fold", "_table", "_pow_table")
+    __slots__ = ("level", "phi", "fold", "power_bound", "_table", "_pow_table")
 
     def __init__(self, level: int):
         self.level = L = level
@@ -102,6 +102,9 @@ class _LevelContext:
         P = np.cumsum(ext[phi - 1 + k - t] * np.array(mod[:phi], dtype=kind), axis=1)
         table = -np.concatenate((P, P))[t + L - k, t]
         self._table, self._pow_table = table, None
+        # the largest |coordinate| of any z^k: reducing an integer vector mod
+        # x^L - 1 onto the power basis scales its l1 norm by at most this
+        self.power_bound = int(np.abs(table).max())
         # the nonzero entries of table, column by column, for the fold;
         # rows k < phi are unit vectors, so no column's segment is empty
         cols, rows = np.nonzero(table.T)

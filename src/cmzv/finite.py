@@ -413,32 +413,26 @@ def _record_key(rec: dict) -> tuple:
     return (rec["p"], rec["index"], tuple(rec["modulus"]), tuple(rec["zeta_image"]))
 
 
-_CHUNK = 512  # lines decoded by one json.loads in _read_records
+_scan_json = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an offset
 
 
 def _read_records(fh, bad: list | None = None):
     """The well-formed records of an open JSON-lines file; the rest is skipped.
 
-    _CHUNK non-blank lines decode as one JSON array (no string runs across a
-    newline).  A chunk that fails, or gives another number of values than it
-    has lines, is decoded line by line; the numbers of the lines that are not
-    JSON go to `bad` when it is given.
+    A record counts only when its line, stripped, is one JSON value alone.
+    The numbers of the other non-blank lines go to `bad` when it is given.
     """
-    lines = ((n, text) for n, line in enumerate(fh, 1) if (text := line.strip()))
-    while chunk := list(itertools.islice(lines, _CHUNK)):
-        try:
-            values = json.loads("[" + ",\n".join(text for _, text in chunk) + "]")
-        except json.JSONDecodeError:
-            values = None
-        if values is None or len(values) != len(chunk):
-            values = []
-            for n, text in chunk:
-                try:
-                    values.append(json.loads(text))
-                except json.JSONDecodeError:
-                    if bad is not None:
-                        bad.append(n)
-        yield from filter(_valid_record, values)
+    for n, line in enumerate(fh, 1):
+        if text := line.strip():
+            try:
+                value, end = _scan_json(text, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = None
+            if end == len(text):
+                if _valid_record(value):
+                    yield value
+            elif bad is not None:
+                bad.append(n)
 
 
 def _load_cache(path: str):

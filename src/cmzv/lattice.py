@@ -3,7 +3,7 @@
 lll_reduce keeps the basis exact, as int64 rows, and decides from float64
 Gram-Schmidt data recomputed from them (Schnorr-Euchner), conservatively:
 size-reduced at |mu| <= 1/2, Lovasz reduced with a margin of 2^-20 over delta.
-The basis depends bit for bit on the rounding of its np.einsum products and
+The basis depends bit for bit on the rounding of its einsum products and
 elementwise updates (BLAS @ changed it after 46 of 96 relation-lattice feeds),
 as many multipliers lie within 1e-9 of 1/2: that needs an exact tie rule.
 """
@@ -17,6 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .fq import is_prime
+
+# the C kernel that np.einsum calls when optimize is off (its default), called
+# directly to skip the Python dispatch: same products, bit for bit
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
 
 
 def rational_reconstruct(r: int, modulus: int, bound: int) -> Fraction | None:
@@ -72,7 +79,7 @@ class GSOBasis:
         self.rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
         self.star = self.rows.astype(np.float64)  # the vectors b*_i
         self.mu = np.zeros((len(rows), len(rows)))
-        self.norm2 = np.einsum("ij,ij->i", self.star, self.star)  # |b*_i|^2
+        self.norm2 = _einsum("ij,ij->i", self.star, self.star)  # |b*_i|^2
         self.fresh = fresh
 
     def __len__(self) -> int:
@@ -95,7 +102,7 @@ def _visit(basis: GSOBasis, k: int, lo: int = 0) -> None:
     """
     b, star, mu, norm2 = basis.rows, basis.star[:k], basis.mu, basis.norm2[:k]
     v = b[k].astype(np.float64)
-    coef = np.einsum("ij,j->i", star, v) / norm2
+    coef = _einsum("ij,j->i", star, v) / norm2
     low = max(0, min(lo, k - 1))
     for last in range(15, -1, -1):
         at, take, hi = [], [], k
@@ -116,16 +123,16 @@ def _visit(basis: GSOBasis, k: int, lo: int = 0) -> None:
             b[k] -= np.array(take, dtype=np.int64) @ b[at]
             v = b[k].astype(np.float64)
             if last and max(map(abs, take)) >= 2**16:
-                coef = np.einsum("ij,j->i", star, v) / norm2
+                coef = _einsum("ij,j->i", star, v) / norm2
                 continue
-        w = v - np.einsum("i,ij->j", coef, star)
-        if not (last and low and np.einsum("i,i->", w, w) * 2**30 < np.einsum("i,i->", v, v)):
+        w = v - _einsum("i,ij->j", coef, star)
+        if not (last and low and _einsum("i,i->", w, w) * 2**30 < _einsum("i,i->", v, v)):
             break
         low = 0
-    fix = np.einsum("ij,j->i", star, w) / norm2
-    w -= np.einsum("i,ij->j", fix, star)
+    fix = _einsum("ij,j->i", star, w) / norm2
+    w -= _einsum("i,ij->j", fix, star)
     basis.star[k], mu[k, :k] = w, coef + fix
-    basis.norm2[k] = nk = float(np.einsum("i,i->", w, w))
+    basis.norm2[k] = nk = float(_einsum("i,i->", w, w))
     # independent integer rows have an integer Gram determinant >= 1
     if nk < 1 and (nk == 0 or math.log(nk) + float(np.log(norm2).sum()) < -0.7):
         raise ValueError("basis vectors are linearly dependent")
@@ -163,7 +170,7 @@ def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
         if k and norm2[k] < (swap_below - (m := float(mu[k, k - 1])) * m) * norm2[k - 1]:
             np.add(star[k], m * star[k - 1], out=star[k - 1])
             mu[k - 1, : k - 1] = mu[k, : k - 1]
-            norm2[k - 1] = np.einsum("i,i->", star[k - 1], star[k - 1])
+            norm2[k - 1] = _einsum("i,i->", star[k - 1], star[k - 1])
             b[k - 1], b[k] = b[k], b[k - 1].copy()
             k, lo, moved = k - 1, min(lo, k - 1), True
         else:

@@ -2,12 +2,13 @@
 
 The exact evaluator works at q = zeta_m with values in Q(zeta_L), L =
 lcm(m, N).  Scaled by m^weight, the sum is an integer polynomial mod x^L - 1
-with coefficients below a height H computed in advance.  For primes
-p = 1 (mod L) below 2^31 it is evaluated at the L-th roots of unity mod p by
-one int64 nested sum and brought back to coefficients by the inverse
-transform; enough primes that their product exceeds 2H give it exactly by
-the Chinese remainder theorem, and only then is it reduced into the power
-basis of Q(zeta_L).
+of l1 norm below a height H computed in advance, so its coordinates on the
+power basis of Z[zeta_L] are below H B_L, B_L the largest coordinate of any
+power of zeta_L.  For primes p = 1 (mod L) below 2^31 it is evaluated at the
+phi(L) primitive L-th roots of unity mod p, the roots of Phi_L there, by one
+int64 nested sum and interpolated straight onto the power basis mod p;
+enough primes that their product exceeds 2 H B_L give the coordinates
+exactly by the Chinese remainder theorem.
 
 Numeric mode evaluates at q = exp(2 pi i/m) with vectorized cumulative sums,
 using |[n]_q| = sin(pi n/m)/sin(pi/m) >= 1 for stability.
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, _fold, _prime_factors
+from .cyclotomic import CycNum, _ctx, _prime_factors, cyclotomic_polynomial
 from .fq import is_prime, pow_mod
 from .words import Index, nested_sum
 
@@ -57,7 +58,7 @@ def _tick(k: int = 1):
             c.count += k
 
 
-# ---- exact engine: evaluation at L-th roots of unity mod p, joined by CRT ----
+# ---- exact engine: evaluation at primitive L-th roots mod p, joined by CRT ----
 
 _PRIME_ROOTS: dict[int, list] = {}
 
@@ -89,25 +90,53 @@ def _prime_roots(L: int, count: int) -> list[tuple[int, np.ndarray, np.ndarray]]
     return found[:count]
 
 
+_INTERPOLATION: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _interpolation(L: int, p: int, w) -> tuple[np.ndarray, np.ndarray]:
+    """The primitive exponents u, gcd(u, L) = 1, and the matrix taking the
+    values mod p at the points a_u = omega^u to coordinates on the power basis.
+
+    As p = 1 (mod L), Phi_L splits mod p into the distinct factors x - a_u,
+    and the Lagrange polynomial at a_u is q_u(x)/q_u(a_u) with q_u = Phi_L/(x -
+    a_u), as q_u(a_u) = Phi_L'(a_u).  Column u of the matrix holds its
+    coefficients.  q_u comes by synthetic division, q_u[phi - 1] = 1 and
+    q_u[j - 1] = Phi_L[j] + a_u q_u[j], for all u in one int64 pass per j,
+    and q_u(a_u) by Horner.  Memoised per (L, p).
+    """
+    key = (L, p)
+    if key not in _INTERPOLATION:
+        u = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
+        a, phi = w[u], len(u)
+        mod = cyclotomic_polynomial(L)
+        q = np.ones((phi, phi), dtype=np.int64)  # q[j, u] = coefficient j of q_u
+        for j in range(phi - 1, 0, -1):
+            q[j - 1] = (mod[j] % p + a * q[j]) % p
+        deriv = q[phi - 1]
+        for j in range(phi - 2, -1, -1):
+            deriv = (deriv * a + q[j]) % p
+        _INTERPOLATION[key] = u, q * pow_mod(deriv, p - 2, p) % p
+    return _INTERPOLATION[key]
+
+
 def _scaled_sum_mod(m: int, index: Index, p: int, w, inv) -> np.ndarray:
-    """m^weight * S mod p, S the q-sum as a vector mod x^L - 1, L = len(w).
+    """m^weight * S mod p on the power basis of Z[zeta_L], L = len(w).
 
     With sm = L/m, u = sm n and M = m/gcd(m, n), 1/[n] = (1 - x^sm) P(x^u)/M
     for P(y) = sum_{i<M-1} (M-1-i) y^i, as 1/(1 - y) = P(y)/M at y^M = 1 != y.
     So m^k times slot j's term is the integer polynomial
-    (m/M)^k (1 - x^sm)^k P(x^u)^k x^(sn e n).  At x = omega^i, P(x^u) is
-    M/(1 - omega^(i u)), or M(M-1)/2 where omega^(i u) = 1.  One int64
-    nested_sum over (L, m-1) columns sums at all L points, and the inverse
-    transform L^-1 sum_i S_i omega^(-i j) gives the coefficients.
+    (m/M)^k (1 - x^sm)^k P(x^u)^k x^(sn e n).  At a primitive point x =
+    omega^i, gcd(i, L) = 1, omega^(i u) != 1 for 0 < n < m, so P(x^u) is
+    M/(1 - omega^(i u)).  One int64 nested_sum over (phi(L), m-1) columns sums
+    at the phi(L) primitive points, and _interpolation's matrix takes the
+    values to coordinates.
     """
     L, N = len(w), index.level
     sm, sn = L // m, L // N
-    i = np.arange(L)[:, None]
+    prim, back = _interpolation(L, p, w)
+    i = prim[:, None]
     n = np.arange(1, m)
-    M = m // np.gcd(m, n)
-    t = i * (sm * n) % L
-    base = np.where(t == 0, (m // M) * (M * (M - 1) // 2) % p, m * inv[t] % p)
-    base = base * ((1 - w[i * sm % L]) % p) % p
+    base = m * inv[i * (sm * n) % L] % p * ((1 - w[i * sm % L]) % p) % p
     powers = [base]  # powers[k - 1] = base^k, grown only as far as the columns need
 
     def column(j):
@@ -117,10 +146,9 @@ def _scaled_sum_mod(m: int, index: Index, p: int, w, inv) -> np.ndarray:
         return powers[k - 1] * w[i * (sn * e * n % L) % L] % p
 
     values = nested_sum(index.depth, column, p)
-    # split the values at 16 bits so each row sum stays below L * 2^47 < 2^63
-    back = w[-np.outer(i, i) % L]
+    # split the values at 16 bits so each row sum stays below phi * 2^47 < 2^63
     lo, hi = (back @ (values & 0xFFFF)) % p, (back @ (values >> 16)) % p
-    return (hi * 0x10000 + lo) % p * pow(L, p - 2, p) % p
+    return (hi * 0x10000 + lo) % p
 
 
 def _height(m: int, index: Index) -> int:
@@ -139,12 +167,16 @@ def _height(m: int, index: Index) -> int:
 
 
 def _scaled_sum(m: int, index: Index, count: int) -> list[int]:
-    """m^weight * S mod x^L - 1 by CRT over `count` primes, lifted to (-P/2, P/2].
+    """The coordinates of m^weight * S by CRT over `count` primes, lifted to
+    (-P/2, P/2].
 
-    Exact once the product P of the primes exceeds twice _height(m, index).
+    Exact once the product P of the primes exceeds twice _height(m, index)
+    times the power_bound of level L: the coordinates are sum_t v_t z^t
+    reduced onto the power basis, with v the vector mod x^L - 1 that
+    _height bounds in l1 norm.
     """
     L = math.lcm(m, index.level)
-    x, P = [0] * L, 1
+    x, P = [0] * _ctx(L).phi, 1
     for p, w, inv in _prime_roots(L, count):
         c = pow(P, -1, p)
         residues = _scaled_sum_mod(m, index, p, w, inv).tolist()
@@ -175,11 +207,11 @@ def qsum_exact(m: int, index: Index) -> CycNum:
     # the ring products of the recurrence: the powers 1/[n]^k up to the
     # largest k, then one product per term of every slot but the innermost
     _tick(max(index.ks) * (m - 1) + sum(m - 1 - j for j in range(1, r)))
-    bound, count, P = 2 * _height(m, index), 0, 1
+    bound, count, P = 2 * _height(m, index) * _ctx(L).power_bound, 0, 1
     while P <= bound:
         count += 1
         P *= _prime_roots(L, count)[-1][0]
-    return _fold(L, _scaled_sum(m, index, count), m**index.weight)
+    return CycNum(L, _scaled_sum(m, index, count), m**index.weight)
 
 
 # ---- numeric engine ----------------------------------------------------------

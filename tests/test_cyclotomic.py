@@ -103,6 +103,9 @@ def test_pow_table_matches_the_loop():
         rows, values, starts = ctx.fold
         assert all(type(x) is int for x in values)
         assert len(values) == sum(x != 0 for row in ctx.pow_table for x in row)
+        assert ctx.power_bound == max(map(abs, values))  # values: the nonzero entries
+    # 105 and 385 are the least levels with a power of z of coordinate 2, and 3
+    assert [_ctx(L).power_bound for L in (104, 105, 384, 385)] == [1, 2, 1, 3]
 
 
 def test_root_arithmetic_level_3():

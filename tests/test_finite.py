@@ -512,9 +512,8 @@ def test_table_without_a_residue_reports_it_missing():
         table.int_matrix()
 
 
-def test_cache_reader_falls_back_line_by_line(tmp_path, monkeypatch):
-    # chunks of two lines: the bad lines spoil their chunks, not their neighbours
-    monkeypatch.setattr(finite, "_CHUNK", 2)
+def test_cache_reader_falls_back_line_by_line(tmp_path):
+    # the bad lines spoil no neighbour
     recs = [{"v": 1, "N": 1, "alpha": 0, "p": 7, "index": f"k={k};e=0", "modulus": [6, 1],
              "zeta_image": [1], "residue": [k]} for k in range(1, 6)]
     lines = [json.dumps(r) for r in recs]
@@ -527,6 +526,19 @@ def test_cache_reader_falls_back_line_by_line(tmp_path, monkeypatch):
     with open(path) as fh:
         assert list(finite._read_records(fh, bad)) == recs
     assert bad == [2, 6, 7]
+
+
+@pytest.mark.parametrize("before", [0, 1, 2, 511])
+def test_cache_reader_takes_no_record_from_a_line_that_is_not_json_alone(before):
+    # two records joined by a comma, then '[0' and '0]': read together as one
+    # JSON array the three lines give three values, as many as the lines
+    recs = [{"v": 1, "N": 1, "alpha": 0, "p": 7, "index": f"k={k};e=0", "modulus": [6, 1],
+             "zeta_image": [1], "residue": [k % 7]} for k in range(1, before + 3)]
+    lines = [json.dumps(r) for r in recs]
+    body = lines[:before] + [lines[before] + "," + lines[before + 1], "[0", "0]"]
+    bad = []
+    assert list(finite._read_records(body, bad)) == recs[:before]
+    assert bad == [before + 1, before + 2, before + 3]
 
 
 @pytest.mark.parametrize("residue", [[7], [-1], [1, 0], [], ["3"], [2.0], [True]])

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmzv.cyclotomic import CycNum, embed_complex
+from cmzv import qsums
+from cmzv.cyclotomic import CycNum, _ctx, _reduce_vector, embed_complex
 from cmzv.fq import is_prime
 from cmzv.qsums import (
     EXACT_LEVEL_LIMIT,
@@ -152,6 +153,10 @@ def oracle_cases(draw):
 @example((12, Index((1, 3, 2), (2, 0, 1), 3)))  # N | m
 @example((3, Index((2, 1), (5, 3), 6)))  # m | N
 @example((4, Index((1, 2, 3), (1, 0, 1), 2)))  # r = m - 1
+# L = 105, where z^t has coordinates of size 2 on the power basis
+@example((15, Index((2, 1), (3, 5), 7)))
+@example((21, Index((1, 2), (4, 0), 5)))
+@example((35, Index((2, 1), (1, 2), 3)))
 @settings(max_examples=30, deadline=None)
 def test_exact_matches_brute_force_oracle(case):
     m, ix = case
@@ -266,24 +271,51 @@ def brute_scaled_sum(m, ix):
 
 
 def prime_count(m, ix):
+    L = math.lcm(m, ix.level)
     count, P = 0, 1
-    while P <= 2 * _height(m, ix):
+    while P <= 2 * _height(m, ix) * _ctx(L).power_bound:
         count += 1
-        P *= _prime_roots(math.lcm(m, ix.level), count)[-1][0]
+        P *= _prime_roots(L, count)[-1][0]
     return count
 
 
 @given(oracle_cases())
 @settings(max_examples=30, deadline=None)
 def test_exact_prefold_vector_is_the_scaled_term_sum(case):
+    # the coordinates interpolated from the primitive points are the
+    # multiplied-out vector mod x^L - 1 reduced onto the power basis
     m, ix = case
     if not 0 < ix.depth < m:
         return
-    assert _scaled_sum(m, ix, prime_count(m, ix)) == brute_scaled_sum(m, ix)
+    L = math.lcm(m, ix.level)
+    want = _reduce_vector(brute_scaled_sum(m, ix), _ctx(L))
+    assert _scaled_sum(m, ix, prime_count(m, ix)) == want
+
+
+def test_exact_nested_sum_runs_over_the_primitive_points(monkeypatch):
+    # one int64 row per primitive L-th root, phi(L) of them, not L
+    shapes, nested_sum = [], qsums.nested_sum
+
+    def spy(depth, column, *args):
+        def recorded(j):
+            terms = column(j)
+            shapes.append(terms.shape)
+            return terms
+
+        return nested_sum(depth, recorded, *args)
+
+    monkeypatch.setattr(qsums, "nested_sum", spy)
+    for m, ix in [(35, Index((2, 1), (1, 2), 3)), (240, Index((2, 1, 1), (1, 2, 1), 3))]:
+        shapes.clear()
+        L = math.lcm(m, ix.level)
+        p, w, inv = _prime_roots(L, 1)[0]
+        qsums._scaled_sum_mod(m, ix, p, w, inv)
+        assert shapes == [(_ctx(L).phi, m - 1)] * ix.depth
 
 
 def test_exact_reconstruction_within_height_bound():
     rng = random.Random(5)
+    cases = [(35, Index((2, 1), (1, 2), 3)), (15, Index((2, 1), (3, 5), 7))]  # L = 105
     for _ in range(25):
         N, m, r = rng.randint(1, 6), rng.randint(2, 60), rng.randint(1, 3)
         ix = Index(
@@ -291,12 +323,14 @@ def test_exact_reconstruction_within_height_bound():
             tuple(rng.randrange(N) for _ in range(r)),
             N,
         )
-        if r >= m:
-            continue
+        if r < m:
+            cases.append((m, ix))
+    for m, ix in cases:
         count = prime_count(m, ix)
         vec = _scaled_sum(m, ix, count)
         assert _scaled_sum(m, ix, count + 1) == vec
-        assert max(abs(c) for c in vec) <= _height(m, ix)
+        L = math.lcm(m, ix.level)
+        assert max(abs(c) for c in vec) <= _height(m, ix) * _ctx(L).power_bound
 
 
 # ---- algebra relations (the load-bearing invariants) --------------------------

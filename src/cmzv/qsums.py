@@ -11,11 +11,14 @@ enough primes that their product exceeds 2 H B_L give the coordinates
 exactly by the Chinese remainder theorem.
 
 Numeric mode evaluates at q = exp(2 pi i/m) with vectorized cumulative sums,
-using |[n]_q| = sin(pi n/m)/sin(pi/m) >= 1 for stability.
+using |[n]_q| = sin(pi n/m)/sin(pi/m) >= 1 for stability.  The q-sum and the
+truncated series share one body, in numpy float64 or longdouble or, beyond
+their bits, mpmath numbers in object arrays.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -235,60 +238,67 @@ def float_types(precision: int):
     return None
 
 
-def _numeric_sum(m, index, weights, precision):
-    """The nested sum below m, one numpy column per slot."""
-    r = index.depth
+@contextmanager
+def _number_type(precision: int):
+    """(real, pi, sin, exp, log, expj) for arithmetic with `precision` bits.
+
+    numpy float64 or longdouble where float_types has one.  Otherwise real is
+    object, for Python integers, which mpmath numbers absorb exactly, and
+    the functions are mpmath's entry by entry, inside mpmath.workprec(precision
+    + 16) with the cyclic garbage collector off: an operation on an object
+    array makes one number per entry, all alive until it ends, which would
+    set off full collections over every number alive; they form no cycles.
+    expj(theta) = cos theta + i sin theta.
+    """
+    types = float_types(precision)
+    if types is not None:
+        real, cplx, pi = types
+        yield real, pi, np.sin, np.exp, np.log, lambda t: (np.cos(t) + 1j * np.sin(t)).astype(cplx)
+        return
+    import mpmath
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with mpmath.workprec(precision + 16):
+            funcs = (mpmath.sin, mpmath.exp, mpmath.log, mpmath.expj)
+            yield object, mpmath.pi, *(np.frompyfunc(f, 1, 1) for f in funcs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _numeric_series(m, index, precision, q, weights=None):
+    """The nested sum below m, one column per slot, of the q-sum at q =
+    exp(2 pi i/m) when q is true and of the truncated series otherwise.
+
+    The q-sum's term is eta^n/[n]^k with 1/[n] = (sin(pi/m)/sin(pi n/m))
+    exp(-i pi (n - 1)/m); the truncated term is eta^n/n^k.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    r, N = index.depth, index.level
     if r == 0:
         return 1.0 + 0.0j
     if r >= m:
         return 0.0 + 0.0j
-    N = index.level
-    types = float_types(precision)
-    if types is None:
-        return _numeric_sum_mp(m, index, weights, precision)
-    real, cplx, pi = types
-    n = np.arange(1, m, dtype=real)
-    sin_n = np.sin(pi * n / m)
-    sin_1 = np.sin(pi / real(m))
-    log_amp = np.log(sin_1) - np.log(sin_n)  # log of 1/|[n]|
-    _tick(r * (m - 1))
-
-    def column(j):
-        k, e = index.ks[j], index.es[j]
-        theta = (-pi * (n - 1) * k) / m + (2 * pi / N) * ((e * n) % N)
-        if weights is not None and weights[j]:
-            theta = theta + (2 * pi / m) * np.mod(weights[j] * n, m)
-        return np.exp(k * log_amp) * (np.cos(theta) + 1j * np.sin(theta)).astype(cplx)
-
-    return complex(nested_sum(r, column))
-
-
-def _numeric_sum_mp(m, index, weights, precision):
-    import mpmath
-
-    r = index.depth
-    N = index.level
-    with mpmath.workprec(precision + 16):
-        pi = mpmath.pi
-        sin1 = mpmath.sin(pi / m)
-        # 1/[n] = (sin(pi/m)/sin(pi n/m)) * exp(-i pi (n-1)/m)
-        inv_q = [
-            sin1 / mpmath.sin(pi * n / m) * mpmath.expjpi(mpmath.mpf(-(n - 1)) / m)
-            for n in range(1, m)
-        ]
+    with _number_type(precision) as (real, pi, sin, exp, log, expj):
+        n = np.arange(1, m, dtype=real)
+        if q:
+            # 1/[n] = exp(log_amp) exp(i turn/m)
+            log_amp = log(sin(pi / m)) - log(sin(pi * n / m))
+            turn = -pi * (n - 1)
         _tick(r * (m - 1))
 
         def column(j):
             k, e = index.ks[j], index.es[j]
-            col = []
-            for n, inv in enumerate(inv_q, 1):
-                factor = inv**k
-                if e:
-                    factor *= mpmath.expjpi(mpmath.mpf(2 * ((e * n) % N)) / N)
-                if weights is not None and weights[j]:
-                    factor *= mpmath.expjpi(mpmath.mpf(2 * weights[j] * n) / m)
-                col.append(factor)
-            return np.array(col, dtype=object)
+            theta = (2 * pi / N) * ((e * n) % N)
+            if not q:
+                return expj(theta) / n**k
+            theta = (turn * k) / m + theta
+            if weights is not None and weights[j]:
+                theta = theta + (2 * pi / m) * np.mod(weights[j] * n, m)
+            return exp(k * log_amp) * expj(theta)
 
         return complex(nested_sum(r, column))
 
@@ -303,13 +313,11 @@ def qsum_numeric(m, index, weights=None, precision=None):
     weights, when given, multiply slot j by q^(a_j n_j) (one real a_j per
     depth slot).
     """
-    if m < 1:
-        raise ValueError("m must be positive")
     if weights is not None and len(weights) != index.depth:
         raise ValueError("weights length must equal depth")
     if precision is None:
         precision = default_precision(m)
-    return _numeric_sum(m, index, weights, precision)
+    return _numeric_series(m, index, precision, True, weights)
 
 
 # ---- truncated colored MZVs --------------------------------------------------
@@ -339,41 +347,7 @@ def truncated_cmzv_exact(m: int, index: Index) -> CycNum:
 
 def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex:
     """Numeric truncation of the colored MZV series below m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    r = index.depth
-    if r == 0:
-        return 1.0 + 0.0j
-    if r >= m:
-        return 0.0 + 0.0j
-    N = index.level
-    types = float_types(precision)
-    if types is None:
-        import mpmath
-
-        with mpmath.workprec(precision + 16):
-            _tick(r * (m - 1))
-
-            def mp_column(j):
-                k, e = index.ks[j], index.es[j]
-                col = []
-                for n in range(1, m):
-                    t = mpmath.expjpi(mpmath.mpf(2 * ((e * n) % N)) / N)
-                    t /= mpmath.mpf(n) ** k
-                    col.append(t)
-                return np.array(col, dtype=object)
-
-            return complex(nested_sum(r, mp_column))
-    real, cplx, pi = types
-    n = np.arange(1, m, dtype=real)
-    root_table = np.exp(1j * (2 * pi / N) * np.arange(N, dtype=real)).astype(cplx)
-    _tick(r * (m - 1))
-
-    def column(j):
-        k, e = index.ks[j], index.es[j]
-        return root_table[(e * n.astype(np.int64)) % N] / n.astype(cplx) ** k
-
-    return complex(nested_sum(r, column))
+    return _numeric_series(m, index, precision, False)
 
 
 # ---- asymptotic comparison against the symmetric main term -------------------
@@ -394,10 +368,11 @@ def asymptotic_probe(index: Index, alpha: int, m_grid, precision=None):
     grid = list(m_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("m_grid must be strictly increasing")
-    cfg = MzvEvalConfig()
     for m in grid:
         if m % N != alpha % N:
             raise ValueError(f"grid point {m} is not {alpha} mod {N}")
+    cfg = MzvEvalConfig()
+    for m in grid:
         value = qsum_numeric(m, index, precision=precision)
         poly = symmetric_pair_polynomial(index, m, cfg)
         t_m = math.log(m / math.pi) + float(np.euler_gamma)

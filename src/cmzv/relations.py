@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, euler_phi
+from .cyclotomic import CycNum, _prime_factors, euler_phi
 from .fq import make_fq_context
 from .finite import (
     CongruenceIndex,
@@ -57,17 +57,6 @@ def _series_from_rational(num, den, k_max):
     return out
 
 
-def _distinct_prime_factors(n: int) -> int:
-    count, d = 0, 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (1 if n > 1 else 0)
-
-
 def mt_dimension(N: int, k: int) -> int:
     """Graded dimension of the mixed-Tate Hopf algebra at level N, weight k."""
     if N < 1 or k < 0:
@@ -77,7 +66,7 @@ def mt_dimension(N: int, k: int) -> int:
     elif N == 2:
         num, den = (1, 0, -1), (1, -1, -1)
     else:
-        nu = _distinct_prime_factors(N)
+        nu = len(_prime_factors(N))
         a = euler_phi(N) // 2 + nu
         num, den = (1, -1), (1, -a, nu - 1)
     return _series_from_rational(num, den, k)[k]

@@ -1,5 +1,6 @@
 """Multiple harmonic q-sums: exact cyclotomic engine, numeric engine, probes."""
 
+import gc
 import itertools
 import json
 import math
@@ -461,6 +462,19 @@ def test_precision_beyond_longdouble_goes_to_mpmath(monkeypatch):
     assert entered == [80, 80, 80]
 
 
+def test_mpmath_series_leaves_the_garbage_collector_as_it_was():
+    ix = Index((2, 1), (1, 2), 3)
+    assert gc.isenabled()
+    qsum_numeric(29, ix, precision=128)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        truncated_cmzv_numeric(29, ix, 128)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_default_precision_switch():
     assert default_precision(10**5) == 53
     assert default_precision(10**5 + 1) == 128
@@ -554,4 +568,15 @@ def test_asymptotic_probe_validates_grid():
         asymptotic_probe(ix, 1, (10, 7))
     with pytest.raises(ValueError):
         asymptotic_probe(ix, 1, (7, 12))  # 12 is not 1 mod 3
+
+
+def test_asymptotic_probe_checks_the_whole_grid_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qsums, "qsum_numeric", lambda *args, **kw: calls.append(args))
+    ix = Index((2, 1), (1, 2), 3)
+    with pytest.raises(ValueError, match="100001 is not 1 mod 3"):
+        asymptotic_probe(ix, 1, (1000, 10000, 100000, 100001))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        asymptotic_probe(ix, 1, (1000, 10000, 100000, 100000))
+    assert calls == []
 

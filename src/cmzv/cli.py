@@ -273,13 +273,13 @@ def _cmd_check(args, config: RunConfig, out: _Out) -> int:
 # ---- cache administration ---------------------------------------------------------
 
 
-def _cache_files(root: str):
+def _cache_files(root: str, prefixes=("residues_",)):
     if not os.path.isdir(root):
         return []
     return sorted(
         os.path.join(root, name)
         for name in os.listdir(root)
-        if name.startswith("residues_") and name.endswith(".jsonl")
+        if name.startswith(prefixes) and name.endswith(".jsonl")
     )
 
 
@@ -299,6 +299,7 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
             out.write(_csv_text(("N", "alpha", "p", "entries"), rows))
         return 0
     if args.action == "clear":
+        files = _cache_files(root, ("residues_", "relations_"))
         for path in files:
             os.remove(path)
         out.write(_json_text({"removed_files": len(files)}))
@@ -377,7 +378,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--wmax", type=int, default=4)
     _add_common(sp)
 
-    sp = subs.add_parser("cache", help="cache administration")
+    sp = subs.add_parser(
+        "cache", help="cache administration",
+        description="clear removes the residue files and the relation-lattice records; "
+                    "stat, export and import read and write residues only, since relation "
+                    "records are derived from them and rebuilt on demand.",
+    )
     sp.add_argument("action", choices=("stat", "clear", "export", "import"))
     sp.add_argument("--file", default=None, help="bundle path for import")
     _add_common(sp)
@@ -421,7 +427,7 @@ def main(argv=None) -> int:
             raise ValueError("--alpha must be a unit modulo --N")
         if args.command == "dim":
             _dim_config(args, config)
-        if args.command == "check" and args.wmax < 1:
+        if args.command in ("dim", "mtdim", "check") and args.wmax < 1:
             raise ValueError("--wmax must be at least 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,6 +391,11 @@ def _cache_path(cache_dir: str, N: int, alpha: int) -> str:
     return os.path.join(cache_dir, f"residues_N{N}_a{alpha}.jsonl")
 
 
+def _relations_path(cache_dir: str, N: int, alpha: int) -> str:
+    """The file of relation-lattice records beside the residues of (N, alpha)."""
+    return os.path.join(cache_dir, f"relations_N{N}_a{alpha}.jsonl")
+
+
 # a cache record's fields and their JSON types, besides "v": 1
 _RECORD_FIELDS = ("N", "alpha", "p", "index", "modulus", "zeta_image", "residue")
 _RECORD_TYPES = (int, int, int, str, list, list, list)
@@ -444,7 +449,7 @@ def _load_cache(path: str):
     except FileNotFoundError:
         pass
     except OSError as exc:
-        warnings.warn(f"residue cache unreadable ({exc}); recomputing")
+        warnings.warn(f"cache file {path} unreadable ({exc}); recomputing")
 
 
 def _dump(rec: dict) -> str:
@@ -556,16 +561,22 @@ def _store_cache(path: str, records: list[dict], table=None, after=()) -> None:
     """
     by_key = itemgetter("p", "index")
     dumped = lambda recs: ((by_key(r), _dump(r)) for r in sorted(recs, key=by_key))  # noqa: E731
+    table_lines = _table_lines(table) if table is not None else ()
+    lines = heapq.merge(dumped(records), table_lines, dumped(after), key=itemgetter(0))
+    _write_lines(path, (line for _, line in lines))
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write lines to a temporary file beside path, then move it over path,
+    so a reader sees the old file or the new one whole; warn on failure."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        table_lines = _table_lines(table) if table is not None else ()
-        lines = heapq.merge(dumped(records), table_lines, dumped(after), key=itemgetter(0))
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(line for _, line in lines)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except OSError as exc:
-        warnings.warn(f"residue cache not written ({exc})")
+        warnings.warn(f"cache file {path} not written ({exc})")
 
 
 def store_records(records: list[dict], cache_dir: str | None = None) -> None:

@@ -11,17 +11,24 @@ integers), combining two sources of relations:
 
 Discovered relations come in reduced echelon form, each eliminating one
 designated generator, so relation counts and dimensions add up directly.
+dimension_table keeps each lattice's outcome in a file beside the residue
+cache, and a later call with the same inputs reduces no lattice.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import warnings
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import finite
 from .cyclotomic import CycNum, _prime_factors, euler_phi
 from .fq import make_fq_context
 from .finite import (
@@ -31,6 +38,7 @@ from .finite import (
     _fq_residues,
     _Slots,
     build_residue_table,
+    format_congruence_index,
     primes_in_class,
 )
 from .lattice import GSOBasis, echelon_basis, lll_reduce
@@ -229,12 +237,24 @@ class RelationCandidate:
 
 
 class Discovery(list):
-    """The relations of one relation lattice, with its b_cert and the number
-    of kept vectors that failed a held-out prime (see discover_relations_lll)."""
+    """The relations of one relation lattice, with the echelon integer rows
+    they come from, its b_cert and the number of kept vectors that failed a
+    held-out prime (see discover_relations_lll).
 
-    def __init__(self, relations=(), b_cert=None, held_out_failures=0):
-        super().__init__(relations)
-        self.b_cert, self.held_out_failures = b_cert, held_out_failures
+    Relation h is rows[h] on the generators gens, verified at `verified`
+    primes."""
+
+    def __init__(self, gens=(), rows=(), b_cert=None, held_out_failures=0, verified=0):
+        N = gens[0].level if gens else 1
+        super().__init__(
+            RelationCandidate(
+                {gens[h]: CycNum.rational(N, c) for h, c in enumerate(row) if c},
+                "lll_discovered",
+                verified,
+            )
+            for row in rows
+        )
+        self.rows, self.b_cert, self.held_out_failures = list(rows), b_cert, held_out_failures
 
 
 # Lovasz parameter of the relation lattice
@@ -280,11 +300,10 @@ def discover_relations_lll(
     table: ResidueTable,
     height_bound: int = 1000,
     prime_split: tuple[int, int] = (24, 12),
-    skip=(),
 ) -> Discovery:
-    """Relations among the generators not in `skip`, from one relation lattice.
+    """Relations among the generators of table, from one relation lattice.
 
-    The lattice starts as Z^G on those G generators and takes in the
+    The lattice starts as Z^G on its G generators and takes in the
     training primes (see _feed).  After each group, trailing vectors with
     |b*| > height_bound * sqrt(G) are dropped: every lattice vector of norm
     up to that lies in the span of the others.  The kept vectors that vanish
@@ -300,12 +319,11 @@ def discover_relations_lll(
         raise ValueError(
             f"table has {len(primes)} usable primes, need {train_n + verify_n}"
         )
-    skipped = set(skip)
-    gens = [g for g in table.generators if g not in skipped]
+    gens = table.generators
     if not gens:
         return Discovery()
     # int_matrix rejects entries outside the prime field
-    columns = dict(zip(primes, table.subtable(gens).int_matrix().T))
+    columns = dict(zip(primes, table.int_matrix().T))
     G = len(gens)
     basis = GSOBasis(np.eye(G), fresh=G)  # Z^G, already orthogonal
     shortest = math.inf  # least |b*|^2 of a dropped vector
@@ -326,17 +344,125 @@ def discover_relations_lll(
         holds &= _dot_mod(basis.rows, columns[p], p) == 0
     lead = len(basis) if holds.all() else int(np.argmin(holds))  # relations before it
     shortest = min([shortest, *basis.norm2[lead:]])
-    N = table.pclass.level
-    found = [
-        RelationCandidate(
-            {gens[h]: CycNum.rational(N, c) for h, c in enumerate(coeffs) if c},
-            "lll_discovered",
-            train_n + verify_n,
-        )
-        for coeffs in echelon_basis(basis.rows[holds])
-    ]
+    rows = echelon_basis(basis.rows[holds])
     b_cert = None if shortest == math.inf else math.floor(math.sqrt(shortest / G))
-    return Discovery(found, b_cert, int((~holds).sum()))
+    return Discovery(gens, rows, b_cert, int((~holds).sum()), train_n + verify_n)
+
+
+# ---- the relation cache -----------------------------------------------------------------
+
+# the key fields that name the question a relation record answers; a record
+# for the same question under another key is stale, and is replaced
+_QUESTION = ("twist", "primes", "split", "height_bound", "generators")
+
+
+def _question(rec) -> str:
+    return json.dumps([rec[f] for f in _QUESTION])
+
+
+def _code_crc() -> int:
+    """crc32 of the sources that decide a relation lattice: this file and lattice.py."""
+    crc = 0
+    for name in ("lattice.py", "relations.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            crc = zlib.crc32(fh.read(), crc)
+    return crc
+
+
+def _checked_discovery(rec: dict, gens, matrix, primes) -> Discovery | None:
+    """The Discovery of a relation record, or None unless its rows are
+    primitive integer rows in reduced echelon form, each with its negative
+    pivot last, pivots rising, and each vanishes at every prime, column j of
+    matrix holding the residues of gens at primes[j].  b_cert and
+    held_out_failures are checked for type only."""
+    rows, b_cert, failures = rec.get("rows"), rec.get("b_cert"), rec.get("held_out_failures")
+    G = len(gens)
+    if not (
+        type(rows) is list
+        and all(type(r) is list and 0 < len(r) <= G and all(type(c) is int for c in r) for r in rows)
+        and (b_cert is None or type(b_cert) is int and b_cert >= 0)
+        and type(failures) is int
+        and failures >= 0
+    ):
+        return None
+    pivots = [len(r) - 1 for r in rows]
+    if pivots != sorted(set(pivots)) or any(r[-1] >= 0 or math.gcd(*r) != 1 for r in rows):
+        return None
+    big = max((abs(c) for r in rows for c in r), default=0) >= 2**62
+    A = np.zeros((len(rows), G), dtype=object if big else np.int64)
+    for i, r in enumerate(rows):
+        A[i, : len(r)] = r
+    at_pivots = A[:, pivots]  # each pivot column holds its own pivot alone
+    if (at_pivots != np.diag(np.diag(at_pivots))).any():
+        return None
+    if any(_dot_mod(A, matrix[:, j], p).any() for j, p in enumerate(primes)):
+        return None
+    return Discovery(gens, rows, b_cert, failures, len(primes))
+
+
+class _RelationCache:
+    """The relation records of one class file, read once per dimension_table
+    call and written at most once, by flush.
+
+    A record is a relation lattice's key (see discover) with its Discovery:
+    the echelon rows, b_cert and held_out_failures.  The rows are served only
+    after _checked_discovery; b_cert, held_out_failures and the claim that
+    the rows span every relation found are trusted as written.
+    """
+
+    def __init__(self, path: str):
+        self.path, self.code = path, _code_crc()
+        self.records = {}  # _question(record) -> record
+        bad = 0
+        for line in finite._load_cache(path):
+            try:
+                rec = json.loads(line)
+                self.records[_question(rec)] = rec
+            except (ValueError, TypeError, KeyError):
+                bad += 1
+        if bad:
+            warnings.warn(f"relation cache {path}: dropped {bad} unreadable line(s)")
+        self.dirty = bool(bad)
+
+    def discover(self, table: ResidueTable, split, config: DimConfig) -> Discovery:
+        """discover_relations_lll(table, config.height_bound, split), from a
+        record under the same key if one passes its check, else computed and
+        recorded.  The key holds everything the lattice depends on, the code
+        that reduces it as a crc32 of its source and the residues as one of
+        their int64 bytes."""
+        n = sum(split)
+        matrix = table.int_matrix()[:, :n]
+        key = {
+            "v": 1,
+            "N": table.pclass.level,
+            "alpha": table.pclass.alpha,
+            "twist": config.twist,
+            "primes": list(table.primes[:n]),
+            "split": list(split),
+            "height_bound": config.height_bound,
+            "delta": str(_DELTA),
+            "numpy": np.__version__,
+            "generators": [format_congruence_index(g) for g in table.generators],
+            "residues": zlib.crc32(matrix.astype("<i8").tobytes()),
+            "code": self.code,
+        }
+        question = _question(key)
+        rec = self.records.get(question)
+        if rec is not None and all(rec.get(f) == v for f, v in key.items()):
+            found = _checked_discovery(rec, table.generators, matrix, key["primes"])
+            if found is not None:
+                return found
+            warnings.warn(f"relation cache {self.path}: a record failed its check; recomputing")
+        found = discover_relations_lll(table, config.height_bound, split)
+        self.records[question] = dict(
+            key, rows=found.rows, b_cert=found.b_cert, held_out_failures=found.held_out_failures
+        )
+        self.dirty = True
+        return found
+
+    def flush(self) -> None:
+        if self.dirty:
+            finite._write_lines(self.path, map(finite._dump, self.records.values()))
 
 
 # ---- dimension tables ------------------------------------------------------------------
@@ -410,6 +536,8 @@ def dimension_table(
         config = DimConfig()
     if math.gcd(alpha, N) != 1:
         raise ValueError("alpha must be a unit modulo N")
+    if weight_max < 1:
+        raise ValueError("weight_max must be at least 1")
     plan = []  # (weight, prime class, generators)
     class_gens = {}  # prime class -> generators of every weight that uses it
     classes = {}  # floor -> prime class
@@ -437,6 +565,10 @@ def dimension_table(
         )
         for pclass, gens in class_gens.items()
     }
+    cache = None
+    if config.use_cache:  # beside the residue file, named by the class's reduced alpha
+        root = config.cache_dir or finite._default_cache_dir()
+        cache = _RelationCache(finite._relations_path(root, N, plan[0][1].alpha))
     reports = []
     for weight, pclass, gens in plan:
         table = shared[pclass].subtable(gens)
@@ -451,8 +583,12 @@ def dimension_table(
 
         rows = reversal_relations_congruence(N, weight, alpha)
         _check_exact_rows(rows, table)  # the family is proven; fail loudly
-        pivots = [next(iter(row)) for row in rows]
-        found = discover_relations_lll(table, config.height_bound, split, skip=pivots)
+        pivots = {next(iter(row)) for row in rows}
+        free = table.subtable([g for g in gens if g not in pivots])
+        if cache is None:
+            found = discover_relations_lll(free, config.height_bound, split)
+        else:
+            found = cache.discover(free, split, config)
         b_cert = found.b_cert
         uncertified = b_cert is not None and b_cert < config.height_bound
         under = under or found.held_out_failures > 0 or uncertified
@@ -479,4 +615,6 @@ def dimension_table(
                 b_cert,
             )
         )
+    if cache is not None:
+        cache.flush()
     return reports

@@ -272,6 +272,17 @@ def test_cache_import_skips_non_json_lines(tmp_path, capsys):
     assert (code, out) == (1, "") and err.startswith("error:")
 
 
+def test_cache_clear_removes_residue_and_relation_files(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path)]
+    run_cli(["dim", "--N", "2", "--wmax", "2", "--primes", "4", "--verify-primes", "2", *cache],
+            capsys)
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["relations_N2_a1.jsonl", "residues_N2_a1.jsonl"]
+    code, out, _ = run_cli(["cache", "clear", *cache], capsys)
+    assert (code, json.loads(out)) == (0, {"removed_files": 2})
+    assert not any(tmp_path.iterdir())
+
+
 def test_cache_stat_json(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CMZV_CACHE_DIR", str(tmp_path))
     code, out, _ = run_cli(["cache", "stat", "--format", "json"], capsys)
@@ -382,6 +393,13 @@ def test_check_without_weights_is_usage_error(capsys):
     code, out, err = run_cli(["check", "--wmax", "0"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["dim", "mtdim"])
+@pytest.mark.parametrize("wmax", ["0", "-1"])
+def test_wmax_below_one_is_usage_error(command, wmax, capsys):
+    code, out, err = run_cli([command, "--N", "2", "--wmax", wmax], capsys)
+    assert (code, out, err) == (2, "", "error: --wmax must be at least 1\n")
 
 
 def test_malformed_congruence_index_is_computation_error(capsys):

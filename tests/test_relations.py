@@ -1,9 +1,15 @@
 """Relation families, LLL discovery, and the dimension tables."""
 
+import itertools
+import json
 import math
+import os
+import re
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
-from cmzv import finite
+from cmzv import finite, relations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,16 +291,128 @@ def test_dimension_table_level_three_small():
 
 
 def test_dimension_table_reads_the_cache_once(tmp_path, monkeypatch):
-    # every weight of a call shares one prime class, so one read and one write
+    # every weight of a call shares one prime class, so one read of its
+    # residue file and one of its relation file
     loads = []
     real_load = finite._load_cache
     monkeypatch.setattr(finite, "_load_cache", lambda path: loads.append(path) or real_load(path))
     config = DimConfig(train_primes=8, verify_primes=4, prime_floor=50, cache_dir=str(tmp_path))
+
+    def count(prefix):
+        return sum(os.path.basename(path).startswith(prefix) for path in loads)
+
     cold = dimension_table(2, 1, 3, config)
-    assert len(loads) == 1
+    assert (count("residues_"), count("relations_")) == (1, 1)
     warm = dimension_table(2, 1, 3, config)
-    assert len(loads) == 2
+    assert (count("residues_"), count("relations_")) == (2, 2)
     assert warm == cold == dimension_table(2, 1, 3, FAST)
+
+
+def _counting_lll(monkeypatch):
+    calls = []
+    real = relations.lll_reduce
+    monkeypatch.setattr(relations, "lll_reduce", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("N, alpha, wmax", [(3, 1, 4), (3, 2, 4), (2, 1, 5)])
+def test_relation_cache_cold_warm_and_off_agree(N, alpha, wmax, tmp_path, monkeypatch):
+    calls = _counting_lll(monkeypatch)
+    config = DimConfig(prime_floor=50, cache_dir=str(tmp_path))
+    cold = dimension_table(N, alpha, wmax, config)
+    assert calls
+    path = tmp_path / f"relations_N{N}_a{alpha}.jsonl"
+    written = path.stat()
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = dimension_table(N, alpha, wmax, config)
+    assert not calls  # no lattice is reduced on a warm cache
+    assert (path.stat().st_ino, path.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    off = dimension_table(N, alpha, wmax, replace(config, use_cache=False))
+    assert warm == cold == off
+    assert [r.b_cert for r in warm] == [r.b_cert for r in cold] == [r.b_cert for r in off]
+
+
+SMALL = DimConfig(train_primes=8, verify_primes=4, prime_floor=50)
+
+
+def _off_by_one(rows):
+    row = next(row for row in rows if any(row[:-1]))
+    row[next(h for h, c in enumerate(row[:-1]) if c)] += 1
+
+
+def _swapped(rows):  # still relations, but the pivots fall
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def _summed(rows):  # still relations, but the pivot of row 0 shows in row 1
+    rows[1] = [a + b for a, b in itertools.zip_longest(rows[0], rows[1], fillvalue=0)]
+
+
+@pytest.mark.parametrize("tamper", [_off_by_one, _swapped, _summed])
+def test_tampered_relation_record_is_recomputed(tamper, tmp_path, monkeypatch):
+    config = replace(SMALL, cache_dir=str(tmp_path))
+    cold = dimension_table(3, 1, 3, config)
+    path = tmp_path / "relations_N3_a1.jsonl"
+    written = path.read_bytes()
+    records = [json.loads(line) for line in written.decode().splitlines()]
+    tamper(max((rec["rows"] for rec in records), key=len))
+    path.write_text("".join(map(finite._dump, records)))
+    calls = _counting_lll(monkeypatch)
+    with pytest.warns(UserWarning, match=re.escape(str(path))):
+        again = dimension_table(3, 1, 3, config)
+    assert calls and again == cold
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("change", [
+    {"height_bound": 500}, {"train_primes": 9, "verify_primes": 3}, {"twist": 2},
+])
+def test_relation_cache_misses_on_a_changed_key(change, tmp_path, monkeypatch):
+    config = replace(SMALL, cache_dir=str(tmp_path))
+    dimension_table(3, 1, 3, config)
+    calls = _counting_lll(monkeypatch)
+    changed = replace(config, **change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dimension_table(3, 1, 3, changed)
+    assert calls
+    assert got == dimension_table(3, 1, 3, replace(changed, use_cache=False))
+
+
+def test_relation_cache_misses_on_a_changed_residue(tmp_path, monkeypatch):
+    # k=1,1;f=0,1 is its own reversal at even weight, so no proven row holds
+    # it and a changed residue reaches the lattice; use_cache=False would
+    # recompute the residue, so the reference is a lattice on the same cache
+    config = replace(SMALL, cache_dir=str(tmp_path))
+    dimension_table(2, 1, 3, config)
+    residues = tmp_path / "residues_N2_a1.jsonl"
+    records = [json.loads(line) for line in residues.read_text().splitlines()]
+    (rec,) = [r for r in records if r["index"] == "k=1,1;f=0,1" and r["p"] == 53]
+    rec["residue"] = [(rec["residue"][0] + 1) % 53]
+    residues.write_text("".join(map(finite._dump, records)))
+    calls = _counting_lll(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dimension_table(2, 1, 3, config)
+    assert calls
+    (tmp_path / "relations_N2_a1.jsonl").unlink()
+    assert got == dimension_table(2, 1, 3, config)
+
+
+def test_cache_dir_that_is_a_file_warns(tmp_path):
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory\n")
+    with pytest.warns(UserWarning):
+        got = dimension_table(2, 1, 3, replace(SMALL, cache_dir=str(blocker)))
+    assert got == dimension_table(2, 1, 3, FAST)
+
+
+def test_dimension_table_needs_a_weight():
+    for weight_max in (0, -1):
+        with pytest.raises(ValueError):
+            dimension_table(2, 1, weight_max, FAST)
 
 
 def test_dimension_table_twist_invariance():

@@ -284,11 +284,11 @@ def _cache_files(root: str, prefixes=("residues_",)):
 
 
 def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
-    from .finite import _default_cache_dir, _dump, _load_cache, _read_records, store_records
+    from . import finite
 
-    root = config.cache_dir or _default_cache_dir()
+    root = config.cache_dir or finite._default_cache_dir()
     files = _cache_files(root)
-    stored = (rec for path in files for rec in _read_records(_load_cache(path)))
+    stored = (rec for path in files for rec in finite._records(finite._read_cache(path)[0]))
     if args.action == "stat":
         counts = Counter((rec["N"], rec["alpha"], rec["p"]) for rec in stored)
         rows = [(n, a, p, c) for (n, a, p), c in sorted(counts.items())]
@@ -305,18 +305,20 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
         out.write(_json_text({"removed_files": len(files)}))
         return 0
     if args.action == "export":
-        out.write("".join(map(_dump, sorted(stored, key=itemgetter("N", "alpha", "p", "index")))))
+        key = itemgetter("N", "alpha", "p", "index")
+        out.write("".join(map(finite._dump, sorted(stored, key=key))))
         return 0
     # import: merge a JSON-lines bundle back into per-class files, read as
     # cache files are read
-    bad = []
-    with open(args.file, encoding="utf-8") as fh:
-        records = list(_read_records(fh, bad))
-    if bad:
-        print(f"warning: {args.file}: skipped {len(bad)} non-JSON line(s), "
-              f"the first at line {bad[0]}", file=sys.stderr)
-    store_records(records, root)
-    out.write(_json_text({"imported": len(records)}))
+    not_json, other, columns = [], [], {}
+    with open(args.file, encoding="utf-8", errors="replace") as fh:
+        imported, _ = finite._merge(finite._json_lines(fh, not_json), columns, other)
+    if not_json or other:
+        print(f"warning: {args.file}: skipped {len(not_json) + len(other)} line(s) that hold "
+              f"no record ({len(not_json)} non-JSON), the first at line "
+              f"{min(not_json[:1] + other[:1])}", file=sys.stderr)
+    finite._store_columns(columns, root)
+    out.write(_json_text({"imported": imported}))
     return 0
 
 

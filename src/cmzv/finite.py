@@ -7,12 +7,11 @@ the raw material for relation discovery, so they cache to disk.
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import itertools
 import json
 import math
 import os
-import re
 import tempfile
 import warnings
 from collections.abc import Mapping
@@ -396,55 +395,86 @@ def _relations_path(cache_dir: str, N: int, alpha: int) -> str:
     return os.path.join(cache_dir, f"relations_N{N}_a{alpha}.jsonl")
 
 
-# a cache record's fields and their JSON types, besides "v": 1
-_RECORD_FIELDS = ("N", "alpha", "p", "index", "modulus", "zeta_image", "residue")
-_RECORD_TYPES = (int, int, int, str, list, list, list)
+# A cache line is one column: the residues of one class at one prime in one
+# residue field, {"v": 2, N, alpha, p, modulus, zeta_image, "residues":
+# {index: [d ints]}}.  In memory a file is a dict from the head of a column,
+# (N, alpha, p, modulus, zeta_image) with tuples for lists, to its residues.
+_HEAD = ("N", "alpha", "p", "modulus", "zeta_image")
 
 
-def _valid_record(rec) -> bool:
-    """Every field of its type, and as residue d ints in [0, p), d the degree
-    of the modulus."""
-    return (
-        type(rec) is dict
-        and rec.get("v") == 1
-        and tuple(map(type, map(rec.get, _RECORD_FIELDS))) == _RECORD_TYPES
-        and len(rec["residue"]) == len(rec["modulus"]) - 1
-        and all(type(c) is int and 0 <= c < rec["p"] for c in rec["residue"])
-    )
+def _head(N: int, alpha: int, p: int, ctx: FqContext) -> tuple:
+    return (N, alpha, p, tuple(ctx.modulus), tuple(ctx.zeta_coeffs))
 
 
-def _record_key(rec: dict) -> tuple:
-    """Records with equal keys hold the same residue; only the first is kept."""
-    return (rec["p"], rec["index"], tuple(rec["modulus"]), tuple(rec["zeta_image"]))
-
-
-_scan_json = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an offset
-
-
-def _read_records(fh, bad: list | None = None):
-    """The well-formed records of an open JSON-lines file; the rest is skipped.
-
-    A record counts only when its line, stripped, is one JSON value alone.
-    The numbers of the other non-blank lines go to `bad` when it is given.
-    """
-    for n, line in enumerate(fh, 1):
-        if text := line.strip():
+def _json_lines(lines, skipped: list):
+    """(line number, value) for each non-blank line, one json.loads a line;
+    the numbers of the lines that are not one JSON value go to skipped."""
+    for n, line in enumerate(lines, 1):
+        if line.strip():
             try:
-                value, end = _scan_json(text, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = None
-            if end == len(text):
-                if _valid_record(value):
-                    yield value
-            elif bad is not None:
-                bad.append(n)
+                yield n, json.loads(line)
+            except (ValueError, RecursionError):
+                skipped.append(n)
+
+
+def _column(value):
+    """(head, residues) of a cache line's JSON value: a column, or a legacy
+    "v": 1 record (N, alpha, p, index, modulus, zeta_image, residue) as its
+    column of one cell.  None unless every field has its JSON type and every
+    residue is d integers in [0, p), d = len(modulus) - 1."""
+    if type(value) is not dict:
+        return None
+    if value.get("v") == 1 and type(value.get("index")) is str:
+        residues = {value["index"]: value.get("residue")}
+    elif value.get("v") == 2:
+        residues = value.get("residues")
+    else:
+        return None
+    N, alpha, p, modulus, zeta = map(value.get, _HEAD)
+    if not (type(N) is type(alpha) is type(p) is int and type(modulus) is type(zeta) is list
+            and len(modulus) > 1 and type(residues) is dict):
+        return None
+    cells = residues.values()
+    if set(map(type, cells)) - {list} or set(map(len, cells)) - {len(modulus) - 1}:
+        return None
+    flat = list(itertools.chain.from_iterable(cells))
+    if set(map(type, itertools.chain(modulus, zeta, flat))) - {int}:
+        return None
+    if flat and not (min(flat) >= 0 and max(flat) < p):
+        return None
+    return (N, alpha, p, tuple(modulus), tuple(zeta)), residues
+
+
+def _add(columns: dict, head: tuple, residues: dict) -> None:
+    """Put residues in the column head of columns; a cell already there wins."""
+    cells = columns.setdefault(head, residues)
+    if cells is not residues:
+        for index, residue in residues.items():
+            cells.setdefault(index, residue)
+
+
+def _merge(values, columns: dict, skipped: list) -> tuple[int, int]:
+    """Add each valid (line number, value) to columns, the first source of a
+    cell winning; the numbers of the others go to skipped.  Returns the
+    number of cells read and of legacy records among them."""
+    read = legacy = 0
+    for n, value in values:
+        column = _column(value)
+        if column is None:
+            skipped.append(n)
+            continue
+        _add(columns, *column)
+        read += len(column[1])
+        legacy += value["v"] == 1
+    return read, legacy
 
 
 def _load_cache(path: str):
     """The lines of one cache file, streamed; none where it is missing, and a
-    warning where it cannot be read."""
+    warning where it cannot be read.  A byte that is not UTF-8 is read as
+    U+FFFD, so it spoils its line alone."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             yield from fh
     except FileNotFoundError:
         pass
@@ -452,151 +482,78 @@ def _load_cache(path: str):
         warnings.warn(f"cache file {path} unreadable ({exc}); recomputing")
 
 
+def _read_cache(path: str) -> tuple[dict, bool]:
+    """The columns of a residue file, and whether it holds a legacy or bad
+    line, so that it should be rewritten.  Bad lines are dropped with one
+    warning naming the file."""
+    columns, skipped = {}, []
+    _, legacy = _merge(_json_lines(_load_cache(path), skipped), columns, skipped)
+    if skipped:
+        warnings.warn(f"cache file {path}: dropped {len(skipped)} bad line(s)")
+    return columns, bool(legacy or skipped)
+
+
+def _records(columns: dict):
+    """Each cell of columns as a legacy per-entry record, column by column."""
+    for (N, alpha, p, modulus, zeta), residues in columns.items():
+        for index, residue in residues.items():
+            yield {"v": 1, "N": N, "alpha": alpha, "p": p, "index": index,
+                   "modulus": list(modulus), "zeta_image": list(zeta), "residue": residue}
+
+
 def _dump(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _line_template(N: int, alpha: int, p: int, ctx: FqContext) -> tuple[str, str, str]:
-    """start, middle and end of the line _dump writes for a record of the
-    class (N, alpha) at p in ctx: the line is start, the quoted index, middle,
-    the residue list and end.  start is the same at every prime."""
-    head = _dump({"v": 1, "N": N, "alpha": alpha, "p": p, "modulus": list(ctx.modulus),
-                  "zeta_image": list(ctx.zeta_coeffs), "index": "@", "residue": "#"})
-    start, rest = head.split('"@"')
-    middle, end = rest.split('"#"')
-    return start, middle, end
-
-
-def _table_lines(table: ResidueTable):
-    """((p, index), line) per entry of a full table, sorted, each line as
-    _dump writes the record, from its prime's _line_template."""
-    keyed = sorted((_generator_key(g), i) for i, g in enumerate(table.generators))
-    quoted, order = [json.dumps(key) for key, _ in keyed], [i for _, i in keyed]
-    for p in sorted(table.primes):
-        start, middle, end = _line_template(table.pclass.level, table.pclass.alpha, p,
-                                            table.contexts[p])
-        residues = table.values[order, table.col_of[p]].tolist()
-        for (key, _), q, res in zip(keyed, quoted, residues):
-            yield (p, key), f"{start}{q}{middle}[{','.join(map(str, res))}]{end}"
-
-
-def _shape(text: str) -> str:
-    """A regex matching text with each run of digits replaced by any digits."""
-    return re.sub("[0-9]+", "[0-9]+", re.escape(text))
-
-
-def _read_cache(lines, table: ResidueTable) -> tuple[list, list]:
-    """Fill the table's cells from cache lines; the records it does not consume.
-
-    A cell takes the residue of its first record whose context (modulus and
-    root image) is the table's.  Every other record is returned as read: in
-    the second list those after a consumed record of equal (p, index), to be
-    written back after its entry, in the first the rest.  A line exactly as
-    _table_lines writes a cell of the table fills it with no JSON decode;
-    each run of other lines goes through _read_records.
-    """
-    N, alpha, col_of = table.pclass.level, table.pclass.alpha, table.col_of
-    by_key = {_generator_key(g): i for i, g in enumerate(table.generators)}
-    by_quoted = {json.dumps(key): i for key, i in by_key.items()}
-    heads = {p: (list(ctx.modulus), list(ctx.zeta_coeffs)) for p, ctx in table.contexts.items()}
-    cells = [[None] * len(table.generators) for _ in table.primes]  # column -> row -> residue
-    columns = {}  # (middle, end) of a prime's template -> (p, column, cells of the column)
-    for p, j in col_of.items():
-        start, middle, end = _line_template(N, alpha, p, table.contexts[p])
-        columns[middle, end] = (p, j, cells[j])
-    if not columns:  # no usable prime, so no cell to fill
-        return list(_read_records(lines)), []
-    # the templates' shape, with d residues: middles and ends differ only in their digits
-    ints = "(?:0|[1-9][0-9]*)"  # as JSON writes them
-    d = table.values.shape[2]
-    residue = rf"{ints}(?:,{ints}){{{d - 1}}}"
-    shape = rf'{re.escape(start)}("[^"\\]*")({_shape(middle)})\[({residue})\]({_shape(end)})\Z'
-    match = re.compile(shape).match
-    kept, last, other = ([], []), None, []  # last: (column, row) of the last cell filled
-
-    def decode():  # the run of other lines, through _read_records
-        nonlocal last
-        for rec in _read_records(other):
-            i, j = by_key.get(rec["index"]), col_of.get(rec["p"])
-            if i is None or j is None or cells[j][i] is not None \
-                    or (rec["modulus"], rec["zeta_image"]) != heads[rec["p"]]:
-                kept[(j, i) == last].append(rec)
-            else:
-                cells[j][i] = rec["residue"]
-                last = (j, i)
-        other.clear()
-
-    for line in lines:
-        m = match(line)
-        if m is not None:
-            quoted, middle, digits, end = m.groups()
-            i, at = by_quoted.get(quoted), columns.get((middle, end))
-            if i is not None and at is not None:
-                p, j, column = at
-                residue = [int(digits)] if d == 1 else [*map(int, digits.split(","))]
-                if max(residue) < p:
-                    if other:  # earlier lines first: one of them may hold this cell
-                        decode()
-                    if column[i] is None:
-                        column[i] = residue
-                        last = (j, i)
-                        continue
-        other.append(line)
-    if other:
-        decode()
-    for j, column in enumerate(cells):
-        if None not in column:
-            table.values[:, j] = column
-            continue
-        rows = [i for i, residue in enumerate(column) if residue is not None]
-        if rows:
-            table.values[rows, j] = [column[i] for i in rows]
-    return kept
-
-
-def _store_cache(path: str, records: list[dict], table=None, after=()) -> None:
-    """Write records, a record per entry of table, then after, sorted by (p, index).
-
-    Records with equal (p, index) keep that order.
-    """
-    by_key = itemgetter("p", "index")
-    dumped = lambda recs: ((by_key(r), _dump(r)) for r in sorted(recs, key=by_key))  # noqa: E731
-    table_lines = _table_lines(table) if table is not None else ()
-    lines = heapq.merge(dumped(records), table_lines, dumped(after), key=itemgetter(0))
-    _write_lines(path, (line for _, line in lines))
+def _store_cache(path: str, columns: dict) -> None:
+    """Write columns, a line each, ordered by (N, alpha, p) and otherwise as given."""
+    heads = sorted(columns, key=itemgetter(0, 1, 2))
+    _write_lines(path, (_dump({"v": 2, **dict(zip(_HEAD, head)), "residues": columns[head]})
+                        for head in heads))
 
 
 def _write_lines(path: str, lines) -> None:
     """Write lines to a temporary file beside path, then move it over path,
-    so a reader sees the old file or the new one whole; warn on failure."""
+    so a reader sees the old file or the new one whole; warn on failure, and
+    leave no temporary file whatever fails."""
+    tmp = None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         warnings.warn(f"cache file {path} not written ({exc})")
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+
+
+def _store_columns(columns: dict, cache_dir: str | None = None) -> None:
+    """Merge columns into their per-class files; a cell already on disk wins."""
+    root = cache_dir or _default_cache_dir()
+    for N, alpha in dict.fromkeys(head[:2] for head in columns):
+        path = _cache_path(root, N, alpha)
+        merged, _ = _read_cache(path)
+        for head, residues in columns.items():
+            if head[:2] == (N, alpha):
+                _add(merged, head, residues)
+        _store_cache(path, merged)
 
 
 def store_records(records: list[dict], cache_dir: str | None = None) -> None:
     """Merge externally supplied cache records into the per-class files.
 
     Records are grouped by (N, alpha); duplicates of entries already on disk
-    (same prime, index, modulus, and root image) are dropped.
+    (same prime, index, modulus, and root image) are dropped, and so are
+    malformed records.
     """
-    root = cache_dir or _default_cache_dir()
-    by_class: dict[tuple[int, int], list[dict]] = {}
-    for rec in records:
-        if not _valid_record(rec):
-            continue
-        by_class.setdefault((rec["N"], rec["alpha"]), []).append(rec)
-    for (N, alpha), recs in by_class.items():
-        path = _cache_path(root, N, alpha)
-        merged = {}
-        for rec in itertools.chain(_read_records(_load_cache(path)), recs):
-            merged.setdefault(_record_key(rec), rec)
-        _store_cache(path, list(merged.values()))
+    columns = {}
+    _merge(enumerate(records, 1), columns, [])
+    _store_columns(columns, cache_dir)
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -624,8 +581,8 @@ def build_residue_table(
     """Fill (generator, prime) -> residue, reading and extending the disk cache.
 
     Primes rejected by the residue-field construction are skipped with a
-    warning; cache records are trusted only when their context (modulus and
-    root image) matches the one built here.
+    warning; a cache column is used only when its class and context (prime,
+    modulus and root image) match the ones built here.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -640,7 +597,15 @@ def build_residue_table(
     gens, values, col_of = table.generators, table.values, table.col_of
 
     cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
-    kept = _read_cache(_load_cache(cache_file), table) if use_cache else None
+    columns, rewrite = _read_cache(cache_file) if use_cache else ({}, False)
+    keys = [_generator_key(g) for g in gens]
+    for p, j in col_of.items():
+        residues = columns.get(_head(N, alpha, p, contexts[p]))
+        found = [residues.get(key) for key in keys] if residues else []
+        if found and None not in found:
+            values[:, j] = found
+        elif rows := [i for i, residue in enumerate(found) if residue is not None]:
+            values[rows, j] = [found[i] for i in rows]
 
     todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
     todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue
@@ -656,6 +621,10 @@ def build_residue_table(
     for p, col in results:
         values[todo[p], col_of[p]] = col
 
-    if use_cache and todo:
-        _store_cache(cache_file, kept[0], table, kept[1])
+    if use_cache and (todo or rewrite):
+        for p, rows in todo.items():
+            residues = columns.setdefault(_head(N, alpha, p, contexts[p]), {})
+            computed = values[rows, col_of[p]].tolist()
+            residues.update(zip(map(keys.__getitem__, rows.tolist()), computed))
+        _store_cache(cache_file, columns)
     return table

@@ -413,15 +413,14 @@ class _RelationCache:
     def __init__(self, path: str):
         self.path, self.code = path, _code_crc()
         self.records = {}  # _question(record) -> record
-        bad = 0
-        for line in finite._load_cache(path):
+        bad = []
+        for n, rec in finite._json_lines(finite._load_cache(path), bad):
             try:
-                rec = json.loads(line)
                 self.records[_question(rec)] = rec
-            except (ValueError, TypeError, KeyError):
-                bad += 1
+            except (TypeError, KeyError):
+                bad.append(n)
         if bad:
-            warnings.warn(f"relation cache {path}: dropped {bad} unreadable line(s)")
+            warnings.warn(f"relation cache {path}: dropped {len(bad)} unreadable line(s)")
         self.dirty = bool(bad)
 
     def discover(self, table: ResidueTable, split, config: DimConfig) -> Discovery:

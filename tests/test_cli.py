@@ -168,11 +168,11 @@ def test_corrupt_cache_residue_is_computation_error(tmp_path, capsys):
     argv = ["dim", "--N", "2", "--wmax", "3", "--cache-dir", str(tmp_path)]
     assert run_cli(argv, capsys)[0] == 0
     (path,) = tmp_path.glob("residues_*.jsonl")
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    for rec in records:
-        if rec["index"] == "k=1,1,1;f=1,0,1" and rec["p"] == 53:
-            rec["residue"] = [(rec["residue"][0] + 1) % 53]
-    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    columns = [json.loads(line) for line in path.read_text().splitlines()]
+    (col,) = [col for col in columns if col["p"] == 53]
+    residue = col["residues"]["k=1,1,1;f=1,0,1"]
+    residue[0] = (residue[0] + 1) % 53
+    path.write_text("".join(json.dumps(col) + "\n" for col in columns))
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("error: exact relation failed at p=53")
@@ -270,6 +270,45 @@ def test_cache_import_skips_non_json_lines(tmp_path, capsys):
         ["cache", "import", "--file", str(tmp_path / "missing.jsonl"), *cache], capsys
     )
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_cache_import_counts_json_lines_that_are_not_records(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    run_cli(["dim", "--N", "1", "--wmax", "1", "--primes", "4", "--verify-primes", "2",
+             *cache], capsys)
+    good = tmp_path / "good.jsonl"
+    assert run_cli(["cache", "export", "--out", str(good), *cache], capsys)[0] == 0
+    bundle = tmp_path / "bundle.jsonl"
+    first = good.read_text().splitlines(keepends=True)[0]
+    bundle.write_text('{"v":1,"N":2}\n[1,2]\nnot json\n{truncated\n' + first)
+    code, out, err = run_cli(["cache", "import", "--file", str(bundle), *cache], capsys)
+    assert code == 0 and json.loads(out) == {"imported": 1}
+    warning = err.splitlines()[0]
+    assert "skipped 4 line(s)" in warning and "2 non-JSON" in warning
+    assert warning.endswith("the first at line 1")
+
+
+# at N = 3 both twists give F_(p^2) the same root image; at N = 5 they give two moduli
+@pytest.mark.parametrize("N, alpha, contexts", [(3, 2, 1), (5, 4, 2)])
+def test_cache_round_trip_at_field_degree_two_with_two_twists(tmp_path, capsys, N, alpha,
+                                                              contexts):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for twist in ("1", "2"):
+        dim = ["dim", "--N", str(N), "--alpha", str(alpha), "--wmax", "2", "--twist", twist]
+        assert run_cli([*dim, *cache], capsys)[0] == 0
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    stat_before = run_cli(["cache", "stat", *cache], capsys)[1]
+    assert run_cli(["cache", "export", "--out", str(first), *cache], capsys)[0] == 0
+    records = [json.loads(line) for line in first.read_text().splitlines()]
+    assert {len(rec["residue"]) for rec in records} == {2}
+    p = records[0]["p"]
+    assert len({(*rec["modulus"], *rec["zeta_image"]) for rec in records if rec["p"] == p}) \
+        == contexts
+    assert run_cli(["cache", "clear", *cache], capsys)[0] == 0
+    assert run_cli(["cache", "import", "--file", str(first), *cache], capsys)[0] == 0
+    assert run_cli(["cache", "export", "--out", str(second), *cache], capsys)[0] == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert run_cli(["cache", "stat", *cache], capsys)[1] == stat_before
 
 
 def test_cache_clear_removes_residue_and_relation_files(tmp_path, capsys):

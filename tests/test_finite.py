@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmzv import finite
+from cmzv.cli import main
 from cmzv.finite import (
     CongruenceIndex,
     PrimeClass,
@@ -329,11 +330,10 @@ def test_residue_table_cache_round_trip(tmp_path):
     t2 = build_residue_table(gens, pc, cache_dir=str(tmp_path))
     assert cache_file.read_bytes() == first  # byte-identical rewrite
     assert t1.entries == t2.entries
-    records = [json.loads(line) for line in first.splitlines()]
-    assert all(rec["v"] == 1 for rec in records)
-    assert sorted(r["p"] for r in records) == sorted(
-        p for p in (7, 13, 19) for _ in gens
-    )
+    columns = [json.loads(line) for line in first.splitlines()]  # one per prime
+    assert all(col["v"] == 2 for col in columns)
+    assert [col["p"] for col in columns] == [7, 13, 19]
+    assert all(len(col["residues"]) == len(gens) for col in columns)
 
 
 def test_residue_table_cache_rejects_stale_modulus(tmp_path):
@@ -344,10 +344,10 @@ def test_residue_table_cache_rejects_stale_modulus(tmp_path):
     lines = cache_file.read_bytes().splitlines()
     doctored = []
     for line in lines:
-        rec = json.loads(line)
-        rec["residue"] = [1]
-        rec["zeta_image"] = [9]  # wrong root image: must be ignored
-        doctored.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        col = json.loads(line)
+        col["residues"] = {index: [1] for index in col["residues"]}
+        col["zeta_image"] = [9]  # wrong root image: must be ignored
+        doctored.append(json.dumps(col, sort_keys=True, separators=(",", ":")))
     cache_file.write_text("\n".join(doctored) + "\n")
     table = build_residue_table(gens, pc, cache_dir=str(tmp_path))
     good = brute_finite(gens[0], 7, table.contexts[7])
@@ -457,17 +457,27 @@ def _expected_lines(gens, pclass):
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
 
 
+def _export(cache_dir, capsys) -> str:
+    """The bytes `cmzv cache export` writes for cache_dir."""
+    assert main(["cache", "export", "--cache-dir", str(cache_dir)]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("pclass", [PrimeClass(3, 1, (7, 13, 19)), PrimeClass(3, 2, (5, 11, 17))])
-def test_cache_file_bytes_are_the_sorted_records(tmp_path, pclass):
+def test_cache_file_bytes_are_the_sorted_records(tmp_path, capsys, pclass):
     # class 2 mod 3 has d = 2: congruence residues [v, 0], colored ones in F_(p^2)
     first = [CongruenceIndex((1, 2), (0, 1), 3), Index((2,), (1,), 3)]
     second = [CongruenceIndex((3,), (2,), 3), Index((1, 1), (1, 2), 3), CongruenceIndex((1,), (0,), 3)]
     build_residue_table(first, pclass, cache_dir=str(tmp_path))
     (path,) = tmp_path.iterdir()
-    assert path.read_text() == _expected_lines(first, pclass)
-    # the records of the first set are foreign to the second and are written back
+    assert _export(tmp_path, capsys) == _expected_lines(first, pclass)
+    # the entries of the first set are foreign to the second and are written back
     table = build_residue_table(second, pclass, cache_dir=str(tmp_path))
-    assert path.read_text() == _expected_lines(first + second, pclass)
+    assert _export(tmp_path, capsys) == _expected_lines(first + second, pclass)
+    # a line per prime, its residues sorted by index
+    columns = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [col["p"] for col in columns] == list(pclass.primes)
+    assert all(list(col["residues"]) == sorted(col["residues"]) for col in columns)
     assert table.values.shape == (3, 3, table.contexts[pclass.primes[0]].d)
 
 
@@ -512,20 +522,25 @@ def test_table_without_a_residue_reports_it_missing():
         table.int_matrix()
 
 
+def _read(lines):
+    """(records, numbers of lines not JSON, of JSON lines that hold no record)."""
+    not_json, other, columns = [], [], {}
+    finite._merge(finite._json_lines(lines, not_json), columns, other)
+    return list(finite._records(columns)), not_json, other
+
+
 def test_cache_reader_falls_back_line_by_line(tmp_path):
     # the bad lines spoil no neighbour
     recs = [{"v": 1, "N": 1, "alpha": 0, "p": 7, "index": f"k={k};e=0", "modulus": [6, 1],
              "zeta_image": [1], "residue": [k]} for k in range(1, 6)]
     lines = [json.dumps(r) for r in recs]
-    # '[1' and '2]' decode together as one value in a chunk, never alone
+    # '[1' and '2]' decode together as one value, never alone
     body = [lines[0], "not json", lines[1], "", lines[2], "[1", "2]", lines[3],
             '{"v":1,"N":1}', lines[4]]
     path = tmp_path / "bundle.jsonl"
     path.write_text("\n".join(body) + "\n")
-    bad = []
     with open(path) as fh:
-        assert list(finite._read_records(fh, bad)) == recs
-    assert bad == [2, 6, 7]
+        assert _read(fh) == (recs, [2, 6, 7], [9])
 
 
 @pytest.mark.parametrize("before", [0, 1, 2, 511])
@@ -536,17 +551,17 @@ def test_cache_reader_takes_no_record_from_a_line_that_is_not_json_alone(before)
              "zeta_image": [1], "residue": [k % 7]} for k in range(1, before + 3)]
     lines = [json.dumps(r) for r in recs]
     body = lines[:before] + [lines[before] + "," + lines[before + 1], "[0", "0]"]
-    bad = []
-    assert list(finite._read_records(body, bad)) == recs[:before]
-    assert bad == [before + 1, before + 2, before + 3]
+    assert _read(body) == (recs[:before], [before + 1, before + 2, before + 3], [])
 
 
 @pytest.mark.parametrize("residue", [[7], [-1], [1, 0], [], ["3"], [2.0], [True]])
 def test_cache_record_residue_must_be_field_coefficients(residue):
     rec = {"v": 1, "N": 1, "alpha": 0, "p": 7, "index": "k=1;e=0", "modulus": [6, 1],
            "zeta_image": [1], "residue": [3]}
-    assert finite._valid_record(rec)
-    assert not finite._valid_record(dict(rec, residue=residue))
+    column = {**rec, "v": 2, "residues": {"k=1;e=0": [3], "k=2;e=0": [4]}}
+    assert finite._column(rec) == finite._column(column)[:1] + ({"k=1;e=0": [3]},)
+    assert finite._column(dict(rec, residue=residue)) is None
+    assert finite._column({**column, "residues": {"k=1;e=0": [3], "k=2;e=0": residue}}) is None
 
 
 def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
@@ -555,12 +570,40 @@ def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
     build_residue_table([a], pclass, cache_dir=str(tmp_path))
     build_residue_table([a], pclass, cache_dir=str(tmp_path), twist=2)
     (path,) = tmp_path.iterdir()
-    both = path.read_text().splitlines(keepends=True)  # per prime: twist 1, then twist 2
-    assert len(both) == 6 and both[0] != both[1]
+    both = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [col["p"] for col in both] == [11, 11, 31, 31, 41, 41]  # twist 1, then twist 2
+    assert both[0]["zeta_image"] != both[1]["zeta_image"]
     build_residue_table([a, b], pclass, cache_dir=str(tmp_path))
-    lines = path.read_text().splitlines(keepends=True)
-    assert [line for line in lines if '"index":"k=1;e=1"' in line] == both
-    assert len(lines) == 9
+    columns = [json.loads(line) for line in path.read_text().splitlines()]
+    assert columns[1::2] == both[1::2]  # the twist-2 columns, untouched and in place
+    for col, old in zip(columns[::2], both[::2]):
+        assert col == dict(old, residues={**old["residues"], "k=2;e=2": col["residues"]["k=2;e=2"]})
+
+
+def test_failed_cache_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    pclass, gens = _small_class(), [Index((1,), (1,), 3)]
+    build_residue_table(gens, pclass, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    old = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(finite.os, "replace", failing_replace)
+    with pytest.warns(UserWarning, match="not written"):
+        build_residue_table(gens + [Index((2,), (0,), 3)], pclass, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == old
+
+
+def test_cache_line_that_is_not_utf8_is_dropped_with_a_warning(tmp_path):
+    pclass, gens = _small_class(), [Index((1,), (1,), 3)]
+    first = build_residue_table(gens, pclass, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    path.write_bytes(good + b'{"v":2,\xff}\n')
+    with pytest.warns(UserWarning, match="dropped 1 bad line"):
+        again = build_residue_table(gens, pclass, cache_dir=str(tmp_path))
+    assert again.entries == first.entries and path.read_bytes() == good
 
 
 def _all_congruence_generators(N, wmax):
@@ -582,11 +625,12 @@ def _all_congruence_generators(N, wmax):
         (2, 5, 242, "e722291b8f628137e4be59c041d2fe881ab3d1b24e1fac41706a35818f53feb1"),
     ],
 )
-def test_dim_path_cache_bytes_are_pinned(tmp_path, N, wmax, size, digest):
+def test_dim_path_cache_bytes_are_pinned(tmp_path, capsys, N, wmax, size, digest):
     # the residue tables of `cmzv dim` for alpha = 1 at 36 primes from floor 50,
-    # as written by the per-depth batched kernel that the suffix trie replaced
+    # as exported: the bytes of the per-entry files of the per-depth batched
+    # kernel that the suffix trie replaced
     gens = _all_congruence_generators(N, wmax)
     assert len(gens) == size
     build_residue_table(gens, primes_in_class(N, 1, 36, floor=50), cache_dir=str(tmp_path), jobs=1)
-    data = (tmp_path / f"residues_N{N}_a1.jsonl").read_bytes()
+    data = _export(tmp_path, capsys).encode()
     assert hashlib.sha256(data).hexdigest() == digest

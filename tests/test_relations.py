@@ -388,10 +388,11 @@ def test_relation_cache_misses_on_a_changed_residue(tmp_path, monkeypatch):
     config = replace(SMALL, cache_dir=str(tmp_path))
     dimension_table(2, 1, 3, config)
     residues = tmp_path / "residues_N2_a1.jsonl"
-    records = [json.loads(line) for line in residues.read_text().splitlines()]
-    (rec,) = [r for r in records if r["index"] == "k=1,1;f=0,1" and r["p"] == 53]
-    rec["residue"] = [(rec["residue"][0] + 1) % 53]
-    residues.write_text("".join(map(finite._dump, records)))
+    columns = [json.loads(line) for line in residues.read_text().splitlines()]
+    (col,) = [col for col in columns if col["p"] == 53]
+    residue = col["residues"]["k=1,1;f=0,1"]
+    residue[0] = (residue[0] + 1) % 53
+    residues.write_text("".join(map(finite._dump, columns)))
     calls = _counting_lll(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -108,13 +108,23 @@ def _parse_any_index(text: str, level: int):
 # ---- subcommands -------------------------------------------------------------
 
 
+def _qsum_grid(args, config: RunConfig) -> list[int]:
+    """The --m grid of a qsum run; ValueError for one the probe cannot take."""
+    from .qsums import probe_grid
+
+    try:
+        grid = [int(tok) for tok in args.m.split(",")]
+    except ValueError:
+        raise ValueError(f"--m must be comma-separated integers, got {args.m!r}") from None
+    return probe_grid(grid, args.N, config.alpha)
+
+
 def _cmd_qsum(args, config: RunConfig, out: _Out) -> int:
     from .qsums import asymptotic_probe
     from .words import parse_index
 
     ix = parse_index(args.index, args.N)
-    grid = [int(tok) for tok in args.m.split(",")]
-    rows = asymptotic_probe(ix, config.alpha, grid, precision=config.precision)
+    rows = asymptotic_probe(ix, config.alpha, _qsum_grid(args, config), precision=config.precision)
     table = [
         (
             r["m"],
@@ -429,6 +439,8 @@ def main(argv=None) -> int:
             raise ValueError("--alpha must be a unit modulo --N")
         if args.command == "dim":
             _dim_config(args, config)
+        if args.command == "qsum":
+            _qsum_grid(args, config)
         if args.command in ("dim", "mtdim", "check") and args.wmax < 1:
             raise ValueError("--wmax must be at least 1")
     except ValueError as exc:

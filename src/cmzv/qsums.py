@@ -13,13 +13,16 @@ exactly by the Chinese remainder theorem.
 Numeric mode evaluates at q = exp(2 pi i/m) with vectorized cumulative sums,
 using |[n]_q| = sin(pi n/m)/sin(pi/m) >= 1 for stability.  The q-sum and the
 truncated series share one body, in numpy float64 or longdouble or, beyond
-their bits, mpmath numbers in object arrays.
+their bits, mpmath numbers in object arrays.  It sums n in blocks of 4096
+terms, each resuming from the last one's running sums, so its memory does
+not depend on m and its value is bit for bit that of a single pass.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+import operator
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -224,6 +227,7 @@ def qsum_exact(m: int, index: Index) -> CycNum:
 LONGDOUBLE_BITS = np.finfo(np.longdouble).nmant + 1
 # pi to 40 digits, enough for a 113-bit longdouble
 _LONGDOUBLE_PI = np.longdouble("3.141592653589793238462643383279502884197")
+_BLOCK = 4096  # terms n of one block of the numeric series
 
 
 def float_types(precision: int):
@@ -268,39 +272,59 @@ def _number_type(precision: int):
             gc.enable()
 
 
+def _term_count(m) -> int:
+    """m as an int >= 1; ValueError for anything else, 10.5 or True too."""
+    try:
+        count = operator.index(m)
+    except TypeError:
+        count = None
+    if count is None or isinstance(m, bool):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if count < 1:
+        raise ValueError("m must be positive")
+    return count
+
+
 def _numeric_series(m, index, precision, q, weights=None):
     """The nested sum below m, one column per slot, of the q-sum at q =
     exp(2 pi i/m) when q is true and of the truncated series otherwise.
 
     The q-sum's term is eta^n/[n]^k with 1/[n] = (sin(pi/m)/sin(pi n/m))
-    exp(-i pi (n - 1)/m); the truncated term is eta^n/n^k.
+    exp(-i pi (n - 1)/m); the truncated term is eta^n/n^k.  The sum runs
+    over n in blocks of _BLOCK terms, each block's nested_sum resuming from
+    the last one's running sums, so no array is longer than a block.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    m = _term_count(m)
+    if precision < 1:
+        raise ValueError("precision must be positive")
     r, N = index.depth, index.level
     if r == 0:
         return 1.0 + 0.0j
     if r >= m:
         return 0.0 + 0.0j
+    _tick(r * (m - 1))
     with _number_type(precision) as (real, pi, sin, exp, log, expj):
-        n = np.arange(1, m, dtype=real)
-        if q:
-            # 1/[n] = exp(log_amp) exp(i turn/m)
-            log_amp = log(sin(pi / m)) - log(sin(pi * n / m))
-            turn = -pi * (n - 1)
-        _tick(r * (m - 1))
+        log_sin_1 = log(sin(pi / m)) if q else None
+        sums = [0] * r
+        for a in range(1, m, _BLOCK):
+            n = np.arange(a, min(a + _BLOCK, m), dtype=real)
+            if q:
+                # 1/[n] = exp(log_amp) exp(i turn/m)
+                log_amp = log_sin_1 - log(sin(pi * n / m))
+                turn = -pi * (n - 1)
 
-        def column(j):
-            k, e = index.ks[j], index.es[j]
-            theta = (2 * pi / N) * ((e * n) % N)
-            if not q:
-                return expj(theta) / n**k
-            theta = (turn * k) / m + theta
-            if weights is not None and weights[j]:
-                theta = theta + (2 * pi / m) * np.mod(weights[j] * n, m)
-            return exp(k * log_amp) * expj(theta)
+            def column(j):
+                k, e = index.ks[j], index.es[j]
+                theta = (2 * pi / N) * ((e * n) % N)
+                if not q:
+                    return expj(theta) / n**k
+                theta = (turn * k) / m + theta
+                if weights is not None and weights[j]:
+                    theta = theta + (2 * pi / m) * np.mod(weights[j] * n, m)
+                return exp(k * log_amp) * expj(theta)
 
-        return complex(nested_sum(r, column))
+            sums = nested_sum(r, column, levels=True, carry=sums)
+        return complex(sums[-1])
 
 
 def default_precision(m: int) -> int:
@@ -316,7 +340,7 @@ def qsum_numeric(m, index, weights=None, precision=None):
     if weights is not None and len(weights) != index.depth:
         raise ValueError("weights length must equal depth")
     if precision is None:
-        precision = default_precision(m)
+        precision = default_precision(_term_count(m))
     return _numeric_series(m, index, precision, True, weights)
 
 
@@ -353,6 +377,19 @@ def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex
 # ---- asymptotic comparison against the symmetric main term -------------------
 
 
+def probe_grid(m_grid, N: int, alpha: int) -> list[int]:
+    """The m of an asymptotic probe as ints, checked before any is evaluated:
+    ValueError unless they are integers >= 1, strictly increasing and all
+    alpha mod N."""
+    grid = [_term_count(m) for m in m_grid]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("m_grid must be strictly increasing")
+    for m in grid:
+        if m % N != alpha % N:
+            raise ValueError(f"grid point {m} is not {alpha} mod {N}")
+    return grid
+
+
 def asymptotic_probe(index: Index, alpha: int, m_grid, precision=None):
     """Compare q-sums along m = alpha (mod N) with the predicted main term.
 
@@ -363,16 +400,9 @@ def asymptotic_probe(index: Index, alpha: int, m_grid, precision=None):
     """
     from .symmetric import MzvEvalConfig, symmetric_pair_polynomial
 
-    N = index.level
     rows = []
-    grid = list(m_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("m_grid must be strictly increasing")
-    for m in grid:
-        if m % N != alpha % N:
-            raise ValueError(f"grid point {m} is not {alpha} mod {N}")
     cfg = MzvEvalConfig()
-    for m in grid:
+    for m in probe_grid(m_grid, index.level, alpha):
         value = qsum_numeric(m, index, precision=precision)
         poly = symmetric_pair_polynomial(index, m, cfg)
         t_m = math.log(m / math.pi) + float(np.euler_gamma)

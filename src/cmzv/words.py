@@ -135,7 +135,7 @@ class Index:
         return f"Index(k={list(self.ks)}, e={list(self.es)}, N={self.level})"
 
 
-def nested_sum(depth: int, column, p: int | None = None, levels: bool = False):
+def nested_sum(depth: int, column, p: int | None = None, levels: bool = False, carry=None):
     """Sum over stop >= n_1 > ... > n_r >= 1 of prod_j column(j)[..., n_j - 1].
 
     The series of an Index, with the term and the ring left to the caller:
@@ -145,7 +145,17 @@ def nested_sum(depth: int, column, p: int | None = None, levels: bool = False):
     give the G row sums as an array, one pass for a batch of one depth.
     column(j) is called once per slot, innermost slot first, so no more
     than one column, one product and one running prefix sum are alive at a
-    time.  Any dtype with + and * will do: complex128 or clongdouble,
+    time.
+
+    With carry, the series resumes after n = a - 1: carry holds the running
+    sum of every slot there, innermost first, as levels returns them (zeros
+    for a = 1), and every column holds the terms for n = a..b - 1 only.
+    Each slot's prefix sum starts from its carry, which is also the inner
+    prefix paired with the block's first term.  So a series summed block by
+    block, each block's levels the next one's carry, makes the additions of
+    one pass and the same result bit for bit, in the memory of one block.
+
+    Any dtype with + and * will do: complex128 or clongdouble,
     object arrays of integers, rationals, CycNum or mpmath numbers, or
     int64 columns of residues in [0, p) with p given.  Then every prefix sum
     is reduced mod p, and every product too where stop (p - 1)^2 >= 2^63, so
@@ -185,10 +195,15 @@ def nested_sum(depth: int, column, p: int | None = None, levels: bool = False):
                 inner = np.take_along_axis(inner, gather[..., start:], axis=-2)
             terms = terms[..., start:] * inner
             del inner
-        elif stop < depth:
+        elif stop < depth and carry is None:
             raise ValueError("depth exceeds the number of terms")
         if p is not None and stop * (p - 1) ** 2 >= 2**63:
             np.remainder(terms, p, out=terms)
+        if carry is not None:
+            # S[..., 0] is the carry, so the next slot's start is 0
+            head = np.empty(terms.shape[:-1] + (1,), dtype=terms.dtype)
+            head[..., 0] = carry[depth - 1 - j]
+            terms = np.concatenate((head, terms), axis=-1)
         S = np.cumsum(terms, axis=-1, out=terms)
         if p is not None:
             np.remainder(S, p, out=S)

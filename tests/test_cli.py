@@ -441,6 +441,19 @@ def test_wmax_below_one_is_usage_error(command, wmax, capsys):
     assert (code, out, err) == (2, "", "error: --wmax must be at least 1\n")
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("10.5", "--m must be comma-separated integers, got '10.5'"),
+    (",", "--m must be comma-separated integers, got ','"),
+    ("1000,100", "m_grid must be strictly increasing"),
+    ("100,100", "m_grid must be strictly increasing"),
+    ("100,1001", "grid point 1001 is not 1 mod 3"),
+    ("0", "m must be positive"),
+])
+def test_malformed_qsum_grid_is_usage_error(grid, message, capsys):
+    code, out, err = run_cli(["qsum", "--N", "3", "--index", "k=2,1;e=1,2", "--m", grid], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_malformed_congruence_index_is_computation_error(capsys):
     code, out, err = run_cli(["finite", "--N", "2", "--index", "k=1;f=1;x"], capsys)
     assert code == 1

@@ -5,16 +5,20 @@ per-term mpmath q-sum, and a numpy and an mpmath truncated sum.  They are
 copied here as they were (less the operation counter).  The numpy q-sum sets
 the bytes `cmzv qsum` prints, so the present one must equal it bit for bit
 at 53 and 64 bits; the mpmath sums and the truncated sums need only agree to
-rounding.
+rounding.  The present series runs in blocks of qsums._BLOCK terms; with
+the block shrunk to a few terms, so that every sum crosses many block
+boundaries, it must still equal the frozen single pass bit for bit.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from cmzv import qsums
 from cmzv.qsums import float_types, qsum_numeric, truncated_cmzv_numeric
 from cmzv.words import Index, nested_sum
 
@@ -160,3 +164,87 @@ def test_truncated_agrees_with_the_frozen_sums(precision):
             if not close(got, want):
                 bad.append((ix, m, got, want))
     assert not bad, bad[:3]
+
+
+def blocked_cases(ms):
+    """(index, m, weights) for every index, m in ms and WEIGHTS entry, and
+    (index, m, "truncated") for the truncated sum."""
+    for ix, m, weights in itertools.product(indices(), ms, WEIGHTS + ("truncated",)):
+        yield ix, m, weights if weights in (None, "truncated") else weights[: ix.depth]
+
+
+def present_and_frozen(ix, m, weights, precision):
+    if weights == "truncated":
+        return (truncated_cmzv_numeric(m, ix, precision),
+                frozen_truncated_cmzv_numeric(m, ix, precision))
+    return qsum_numeric(m, ix, weights, precision), frozen_numeric_sum(m, ix, weights, precision)
+
+
+# blocks of 1 and 2 terms cost one pass per term or two, so they stop at
+# m = 240, which already crosses 239 and 119 block boundaries
+@pytest.mark.parametrize("block,ms", [
+    (1, (1, 2, 3, 17, 240)),
+    (2, (1, 2, 3, 17, 240)),
+    (3, (1, 2, 3, 17, 240, 1001)),
+    (7, (1, 2, 3, 17, 240, 1001)),
+])
+@pytest.mark.parametrize("precision", [53, 64])
+def test_block_boundaries_keep_the_frozen_bits(block, ms, precision, monkeypatch):
+    monkeypatch.setattr(qsums, "_BLOCK", block)
+    bad = []
+    for case in blocked_cases(ms):
+        got, want = present_and_frozen(*case, precision)
+        if bits(got) != bits(want):
+            bad.append((case, got, want))
+    assert not bad, bad[:3]
+
+
+@pytest.mark.parametrize("precision", [53, 64])
+def test_three_real_blocks_keep_the_frozen_bits(precision):
+    m = 3 * qsums._BLOCK + 2  # three whole blocks and one of a single term
+    ix = Index((2, 1, 1), (1, 2, 1), 3)
+    for weights in WEIGHTS + ("truncated",):
+        got, want = present_and_frozen(ix, m, weights, precision)
+        assert bits(got) == bits(want), weights
+
+
+def test_mpmath_blocks_agree_with_one_block(monkeypatch):
+    # m < _BLOCK is one block, so this compares blocks of 2 with one pass
+    cases = [case for case in blocked_cases((3, 29)) if case[0].depth == 3]
+    whole = [present_and_frozen(*case, 128) for case in cases]
+    monkeypatch.setattr(qsums, "_BLOCK", 2)
+    for case, (one, frozen) in zip(cases, whole):
+        got = present_and_frozen(*case, 128)[0]
+        assert got == one and close(got, frozen), case
+
+
+def test_no_numeric_column_is_longer_than_a_block(monkeypatch):
+    shapes, nested_sum = [], qsums.nested_sum
+
+    def spy(depth, column, *args, **kwargs):
+        def recorded(j):
+            terms = column(j)
+            shapes.append(terms.shape)
+            return terms
+
+        return nested_sum(depth, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(qsums, "nested_sum", spy)
+    ix = Index((2, 1, 1), (1, 2, 1), 3)
+    m = 3 * qsums._BLOCK + 2
+    qsum_numeric(m, ix, precision=53)
+    truncated_cmzv_numeric(m, ix, 53)
+    blocks = [(qsums._BLOCK,)] * 3 + [(1,)]
+    assert shapes == [shape for shape in blocks for _ in range(ix.depth)] * 2
+
+
+@pytest.mark.parametrize("series", [qsum_numeric, truncated_cmzv_numeric])
+def test_numeric_series_memory_does_not_grow_with_m(series):
+    ix = Index((2, 1, 1), (1, 2, 1), 3)
+    tracemalloc.start()
+    try:
+        series(10**6, ix, precision=53)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

@@ -442,6 +442,21 @@ def test_weights_validation():
         qsum_numeric(5, ix, weights=(1, 2))
 
 
+@pytest.mark.parametrize("series", [qsum_numeric, truncated_cmzv_numeric])
+def test_numeric_series_take_integer_m_and_positive_precision(series):
+    ix = Index((2, 1), (1, 2), 3)
+    for m in (10.5, 10.0, True, "10", None, 0, -3):
+        with pytest.raises(ValueError, match="m must be"):
+            series(m, ix, precision=53)
+    for precision in (0, -53):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            series(10, ix, precision=precision)
+    # any integer type with __index__ will do, numpy's included
+    assert series(np.int64(10), ix, precision=53) == series(10, ix, precision=53)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        asymptotic_probe(ix, 1, (10.5,))
+
+
 def test_precision_beyond_longdouble_goes_to_mpmath(monkeypatch):
     # where longdouble is double, precision 64 must not round to 53 bits
     import numpy as np

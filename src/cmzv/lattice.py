@@ -183,27 +183,31 @@ def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
 
 def _rref_mod(R, q):
     """Pivots (latest first) and reduced rows of R mod q, pivots on the latest
-    columns; None when R loses rank mod q."""
-    A, pivots = R % q, []
+    columns, one row per pivot.  A new pivot row is zero past its pivot, so
+    it updates only the rows that are nonzero at the pivot, up to it."""
+    A, pivots = np.asarray(R, dtype=np.int64) % q, []
     for col in range(R.shape[1] - 1, -1, -1):
         i = len(pivots)
         nz = np.flatnonzero(A[i:, col])
         if nz.size:
             A[[i, i + nz[0]]] = A[[i + nz[0], i]]
-            A[i] = A[i] * pow(int(A[i, col]), -1, q) % q
-            f = A[:, col].copy()
-            f[i] = 0
-            A = (A - f[:, None] * A[i]) % q
+            A[i, : col + 1] = head = A[i, : col + 1] * pow(int(A[i, col]), -1, q) % q
+            at = np.flatnonzero(A[:, col])
+            at = at[at != i]
+            A[at, : col + 1] = (A[at, : col + 1] - A[at, col, None] * head) % q
             pivots.append(col)
-    return (pivots, A) if len(pivots) == len(R) else None
+    return pivots, A[: len(pivots)]
 
 
 def echelon_basis(R) -> list[list[int]]:
     """The reduced echelon basis over Q of the row span of R, pivots on the
     latest columns, as primitive integer rows with a negative pivot.
 
-    The form is computed by int64 elimination mod 31-bit primes and lifted by
-    CRT and rational reconstruction until it spans exactly the rows of R.
+    The rows of R need not be independent.  The form is computed by int64
+    elimination mod 31-bit primes and lifted by CRT and rational
+    reconstruction until it spans exactly the rows of R.  A prime that loses
+    rank moves pivots earlier, so its form is passed over once a better one
+    is known, and cannot span R while it is the best.
     """
     best, M, q = None, 1, 2**31 + 1
     while len(R):

@@ -1,18 +1,21 @@
 """Relation families, lattice relation discovery over residue tables, dimensions.
 
 The dimension pipeline works in the congruence model (values are prime-field
-integers), combining two sources of relations:
+integers), combining three sources of relations:
 
-* exact families proved per prime (reversal under m -> p - m), eliminated
-  symbolically over Q, and
-* integer relations among the remaining generators, from one lattice per
+* reversal under m -> p - m, eliminated symbolically over Q;
+* the linear shuffle family on the reversal-free generators, built as
+  small-integer arrays (linear_shuffle_rows), checked exactly at every
+  prime and put in echelon form; and
+* integer relations among the generators left, from one lattice per
   weight fed the residues at the training primes, accepted only when they
   hold exactly at every held-out prime too, and certified up to a height.
 
-Discovered relations come in reduced echelon form, each eliminating one
-designated generator, so relation counts and dimensions add up directly.
-dimension_table keeps each lattice's outcome in a file beside the residue
-cache, and a later call with the same inputs reduces no lattice.
+Relations come in reduced echelon form, each eliminating one designated
+generator, so relation counts and dimensions add up directly.
+dimension_table keeps each weight's proven and lattice rows in a file
+beside the residue cache, and a later call with the same inputs builds no
+linear-shuffle row and reduces no lattice.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import finite
-from .cyclotomic import CycNum, _prime_factors, euler_phi
+from .cyclotomic import CycNum, _ctx, _prime_factors, euler_phi
 from .fq import make_fq_context
 from .finite import (
     CongruenceIndex,
@@ -154,6 +157,66 @@ def linear_shuffle_row(u: Word, v: Word) -> dict:
     return {g: c for g, c in row.items() if c}
 
 
+def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -> np.ndarray:
+    """Every linear_shuffle_row(u, v) of the given weight on the congruence
+    generators in free (generator -> column), as the rows of a small-integer
+    array, zero and repeated rows dropped.
+
+    A colored index (k; e) is sum_f zeta^(e.f) C(k; f), so each row splits
+    into phi(N) integer rows, one per power-basis coordinate of zeta; a
+    generator outside free is written through its row of reversal (rows as
+    reversal_relations_congruence gives them), or is zero.  Words are codes
+    in base N + 1 (e_0 is 0, root a is a + 1).  Row i of the table T, on
+    free, is the colored index of generator i, and index_of takes the code
+    of its word there, so the row of (u, v) is a sum of C(weight, |u|) + 1
+    rows of T, one per shuffle and one for rev(v) e_1 u.
+    """
+    if not free:
+        return np.zeros((0, 0), dtype=np.int16)
+    gens, B, P = enumerate_generators(N, weight), N + 1, _ctx(N)._table  # P[s]: zeta^s
+    at = {g: (h, 1) for g, h in free.items()}
+    for row in reversal:
+        if len(row) == 2:  # {g: 1, g': -sign}: g = sign g'
+            (g, _), (h, c) = row.items()
+            at[g] = (free[h], -int(c))
+    column, sign = np.array([at.get(g, (0, 0)) for g in gens], dtype=np.int64).reshape(-1, 2).T
+    # an entry is a sum of at most C(w, w/2) + 1 words, each meeting a column twice
+    top = 2 * (math.comb(weight, weight // 2) + 1) * _ctx(N).power_bound
+    T = np.zeros((len(gens), P.shape[1], len(free)), dtype=np.int16 if top < 2**15 else np.int64)
+    index_of = np.zeros(B**weight, dtype=np.int64)  # word code -> row of T
+    lo, powers = 0, B ** np.arange(weight - 1, -1, -1)
+    for r in range(1, weight + 1):
+        E = np.array(list(itertools.product(range(N), repeat=r))).reshape(-1, r)
+        for ks in _compositions(weight, r):
+            hi = lo + len(E)
+            roots = powers[np.cumsum(ks) - 1]
+            index_of[(np.cumsum(E, axis=1) % N + 1) @ roots] = np.arange(lo, hi)
+            on = np.flatnonzero(sign[lo:hi])
+            values = P[E @ E[on].T % N] * sign[lo + on, None]
+            np.add.at(T, (slice(lo, hi), slice(None), column[lo + on]), values.transpose(0, 2, 1))
+            lo = hi
+
+    def words(n, last=range(B)):  # every code of length n, its last letter in last
+        return np.array([(*w, x) for w in itertools.product(range(B), repeat=n - 1) for x in last])
+
+    out = []
+    for a in range(weight):  # |u| = a, |v| = b; V holds the words v e_1
+        b = weight - 1 - a
+        U, V = words(a, range(1, B)) if a else np.zeros((1, 0), dtype=int), words(b + 1, [1])
+
+        def terms(S, V):  # the rows of T of the words with u at the positions S
+            rest = [i for i in range(weight) if i not in S]
+            return T[index_of[(U @ powers[list(S)])[:, None] + V @ powers[rest]]]
+
+        acc = sum(terms(S, V) for S in itertools.combinations(range(weight), a))
+        acc += (-1) ** b * terms(range(b + 1, weight), V[:, [*range(b - 1, -1, -1), b]])
+        out.append(acc.reshape(-1, len(free)))
+    rows = np.concatenate(out)
+    rows = rows[np.lexsort(rows.T)]  # no np.unique: it imports numpy.ma, 1 MB
+    first = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    return rows[first & rows.any(axis=1)]
+
+
 # ---- per-prime checks of the proven families ----------------------------------------
 
 
@@ -237,24 +300,27 @@ class RelationCandidate:
 
 
 class Discovery(list):
-    """The relations of one relation lattice, with the echelon integer rows
-    they come from, its b_cert and the number of kept vectors that failed a
-    held-out prime (see discover_relations_lll).
+    """The relations on the generators gens of the proven rows and of one
+    relation lattice, with the echelon integer rows they come from, the
+    lattice's b_cert and the number of kept vectors that failed a held-out
+    prime (see discover_relations_lll), all verified at `verified` primes.
 
-    Relation h is rows[h] on the generators gens, verified at `verified`
-    primes."""
+    The proven rows lie on gens, the lattice rows on the generators that no
+    proven row pivots on; the relations list the proven rows first."""
 
-    def __init__(self, gens=(), rows=(), b_cert=None, held_out_failures=0, verified=0):
+    def __init__(self, gens=(), rows=(), b_cert=None, held_out_failures=0, verified=0, proven=()):
         N = gens[0].level if gens else 1
+        pivots = {len(row) - 1 for row in proven}
+        rest = [g for h, g in enumerate(gens) if h not in pivots]
         super().__init__(
             RelationCandidate(
-                {gens[h]: CycNum.rational(N, c) for h, c in enumerate(row) if c},
-                "lll_discovered",
-                verified,
+                {on[h]: CycNum.rational(N, c) for h, c in enumerate(row) if c}, source, verified
             )
-            for row in rows
+            for on, source, these in ((gens, "linear_shuffle", proven), (rest, "lll_discovered", rows))
+            for row in these
         )
-        self.rows, self.b_cert, self.held_out_failures = list(rows), b_cert, held_out_failures
+        self.rows, self.proven = list(rows), list(proven)
+        self.b_cert, self.held_out_failures = b_cert, held_out_failures
 
 
 # Lovasz parameter of the relation lattice
@@ -349,6 +415,20 @@ def discover_relations_lll(
     return Discovery(gens, rows, b_cert, int((~holds).sum()), train_n + verify_n)
 
 
+def _discover(table: ResidueTable, split, height_bound: int, proven_rows) -> Discovery:
+    """The proven rows on the generators of table, from proven_rows(),
+    checked at every prime and put in echelon form, then
+    discover_relations_lll on the generators left without a pivot."""
+    R = proven_rows()
+    _check_exact_rows(R, table)  # the family is proven; fail loudly
+    proven = echelon_basis(R)
+    pivots = {len(row) - 1 for row in proven}
+    rest = table.subtable([g for h, g in enumerate(table.generators) if h not in pivots])
+    found = discover_relations_lll(rest, height_bound, split)
+    failures = found.held_out_failures
+    return Discovery(table.generators, found.rows, found.b_cert, failures, sum(split), proven)
+
+
 # ---- the relation cache -----------------------------------------------------------------
 
 # the key fields that name the question a relation record answers; a record
@@ -361,43 +441,57 @@ def _question(rec) -> str:
 
 
 def _code_crc() -> int:
-    """crc32 of the sources that decide a relation lattice: this file and lattice.py."""
+    """crc32 of the sources that decide the proven rows and a relation
+    lattice: this file, lattice.py, cyclotomic.py (the powers of zeta) and
+    finite.py (the reversal)."""
     crc = 0
-    for name in ("lattice.py", "relations.py"):
+    for name in ("cyclotomic.py", "finite.py", "lattice.py", "relations.py"):
         with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
             crc = zlib.crc32(fh.read(), crc)
     return crc
 
 
-def _checked_discovery(rec: dict, gens, matrix, primes) -> Discovery | None:
-    """The Discovery of a relation record, or None unless its rows are
-    primitive integer rows in reduced echelon form, each with its negative
-    pivot last, pivots rising, and each vanishes at every prime, column j of
-    matrix holding the residues of gens at primes[j].  b_cert and
-    held_out_failures are checked for type only."""
-    rows, b_cert, failures = rec.get("rows"), rec.get("b_cert"), rec.get("held_out_failures")
-    G = len(gens)
-    if not (
-        type(rows) is list
-        and all(type(r) is list and 0 < len(r) <= G and all(type(c) is int for c in r) for r in rows)
-        and (b_cert is None or type(b_cert) is int and b_cert >= 0)
-        and type(failures) is int
-        and failures >= 0
-    ):
-        return None
+def _echelon_rows(rows, matrix, primes) -> bool:
+    """True when rows are primitive integer rows in reduced echelon form on
+    the rows of matrix, each with its negative pivot last, pivots rising,
+    and each vanishes at every prime, column j of matrix holding the
+    residues at primes[j]."""
+    G = len(matrix)
+    if not (type(rows) is list and all(
+        type(r) is list and 0 < len(r) <= G and all(type(c) is int for c in r) for r in rows
+    )):
+        return False
     pivots = [len(r) - 1 for r in rows]
     if pivots != sorted(set(pivots)) or any(r[-1] >= 0 or math.gcd(*r) != 1 for r in rows):
-        return None
+        return False
     big = max((abs(c) for r in rows for c in r), default=0) >= 2**62
     A = np.zeros((len(rows), G), dtype=object if big else np.int64)
     for i, r in enumerate(rows):
         A[i, : len(r)] = r
     at_pivots = A[:, pivots]  # each pivot column holds its own pivot alone
-    if (at_pivots != np.diag(np.diag(at_pivots))).any():
+    return not (at_pivots != np.diag(np.diag(at_pivots))).any() and not any(
+        _dot_mod(A, matrix[:, j], p).any() for j, p in enumerate(primes)
+    )
+
+
+def _checked_discovery(rec: dict, gens, matrix, primes) -> Discovery | None:
+    """The Discovery of a relation record, or None unless its proven rows
+    pass _echelon_rows on gens, and its lattice rows on the generators left
+    without a proven pivot; row i of matrix holds the residues of gens[i].
+    b_cert and held_out_failures are checked for type only."""
+    proven, rows = rec.get("proven"), rec.get("rows")
+    b_cert, failures = rec.get("b_cert"), rec.get("held_out_failures")
+    if not (
+        _echelon_rows(proven, matrix, primes)
+        and (b_cert is None or type(b_cert) is int and b_cert >= 0)
+        and type(failures) is int
+        and failures >= 0
+    ):
         return None
-    if any(_dot_mod(A, matrix[:, j], p).any() for j, p in enumerate(primes)):
+    pivots = {len(r) - 1 for r in proven}
+    if not _echelon_rows(rows, matrix[[h for h in range(len(gens)) if h not in pivots]], primes):
         return None
-    return Discovery(gens, rows, b_cert, failures, len(primes))
+    return Discovery(gens, rows, b_cert, failures, len(primes), proven)
 
 
 class _RelationCache:
@@ -405,9 +499,10 @@ class _RelationCache:
     call and written at most once, by flush.
 
     A record is a relation lattice's key (see discover) with its Discovery:
-    the echelon rows, b_cert and held_out_failures.  The rows are served only
-    after _checked_discovery; b_cert, held_out_failures and the claim that
-    the rows span every relation found are trusted as written.
+    the proven and the lattice echelon rows, b_cert and held_out_failures.
+    The rows are served only after _checked_discovery; b_cert,
+    held_out_failures and the claim that the rows span every relation found
+    are trusted as written.
     """
 
     def __init__(self, path: str):
@@ -423,12 +518,12 @@ class _RelationCache:
             warnings.warn(f"relation cache {path}: dropped {len(bad)} unreadable line(s)")
         self.dirty = bool(bad)
 
-    def discover(self, table: ResidueTable, split, config: DimConfig) -> Discovery:
-        """discover_relations_lll(table, config.height_bound, split), from a
+    def discover(self, table: ResidueTable, split, config: DimConfig, proven_rows) -> Discovery:
+        """_discover(table, split, config.height_bound, proven_rows), from a
         record under the same key if one passes its check, else computed and
-        recorded.  The key holds everything the lattice depends on, the code
-        that reduces it as a crc32 of its source and the residues as one of
-        their int64 bytes."""
+        recorded.  The key holds everything the rows and the lattice depend
+        on, the code that builds and reduces them as a crc32 of its source
+        and the residues as one of their int64 bytes."""
         n = sum(split)
         matrix = table.int_matrix()[:, :n]
         key = {
@@ -452,9 +547,13 @@ class _RelationCache:
             if found is not None:
                 return found
             warnings.warn(f"relation cache {self.path}: a record failed its check; recomputing")
-        found = discover_relations_lll(table, config.height_bound, split)
+        found = _discover(table, split, config.height_bound, proven_rows)
         self.records[question] = dict(
-            key, rows=found.rows, b_cert=found.b_cert, held_out_failures=found.held_out_failures
+            key,
+            proven=found.proven,
+            rows=found.rows,
+            b_cert=found.b_cert,
+            held_out_failures=found.held_out_failures,
         )
         self.dirty = True
         return found
@@ -506,22 +605,19 @@ class DimensionReport:
             raise ValueError("dimension estimate out of range")
 
 
-def _check_exact_rows(rows, table) -> None:
+def _check_exact_rows(A, table) -> None:
     """Raise AssertionError unless every proven row vanishes at every prime.
 
-    One int64 product of the rows, scaled to integers, with the residue
-    matrix of the weight; the message names the first failing row and prime.
+    One int64 product of the integer rows A, on the generators of table,
+    with its residue matrix; the message names the first failing row and
+    prime.
     """
-    A = np.zeros((len(rows), len(table.generators)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        den = math.lcm(*(Fraction(c).denominator for c in row.values()))
-        for g, c in row.items():
-            A[i, table.row_of[g]] = int(c * den)
     primes = np.array(table.primes, dtype=np.int64)
-    bad = A @ table.int_matrix() % primes != 0
+    bad = A.astype(np.int64) @ table.int_matrix() % primes != 0
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
-        raise AssertionError(f"exact relation failed at p={primes[np.argmax(bad[i])]}: {rows[i]}")
+        row = {format_congruence_index(g): int(c) for g, c in zip(table.generators, A[i]) if c}
+        raise AssertionError(f"exact relation failed at p={primes[np.argmax(bad[i])]}: {row}")
 
 
 def dimension_table(
@@ -581,25 +677,30 @@ def dimension_table(
             split = (avail - verify_n, verify_n)
 
         rows = reversal_relations_congruence(N, weight, alpha)
-        _check_exact_rows(rows, table)  # the family is proven; fail loudly
+        A = np.zeros((len(rows), len(gens)), dtype=np.int64)
+        for i, row in enumerate(rows):
+            A[i, [table.row_of[g] for g in row]] = [int(c) for c in row.values()]
+        _check_exact_rows(A, table)  # the family is proven; fail loudly
         pivots = {next(iter(row)) for row in rows}
         free = table.subtable([g for g in gens if g not in pivots])
+        proven = lambda: linear_shuffle_rows(N, weight, rows, free.row_of)
         if cache is None:
-            found = discover_relations_lll(free, config.height_bound, split)
+            found = _discover(free, split, config.height_bound, proven)
         else:
-            found = cache.discover(free, split, config)
+            found = cache.discover(free, split, config, proven)
         b_cert = found.b_cert
         uncertified = b_cert is not None and b_cert < config.height_bound
         under = under or found.held_out_failures > 0 or uncertified
+        exact = len(rows) + len(found.proven)
         reports.append(
             DimensionReport(
                 N,
                 alpha,
                 weight,
                 len(gens),
-                len(rows),
-                len(found),
-                len(gens) - len(rows) - len(found),
+                exact,
+                len(found.rows),
+                len(gens) - exact - len(found.rows),
                 mt_dimension(N, weight),
                 under,
                 tuple(

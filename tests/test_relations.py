@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from cmzv import finite, relations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,8 +130,60 @@ def test_linear_shuffle_row_is_weight_homogeneous(data):
 
 def test_congruence_reversal_ranks():
     reports = dimension_table(1, 1, 4, DimConfig(use_cache=False))
-    ranks = {r.weight: r.exact_relation_rank for r in reports}
+    ranks = {r.weight: sum(c.source == "reversal" for c in r.relations) for r in reports}
     assert (ranks[3], ranks[4]) == (3, 2)
+
+
+def _fourier_rows(N, weight):
+    """Every linear_shuffle_row of the weight through colored(k; e) =
+    sum_f zeta^(e.f) C(k; f), split by power-basis coordinate, as a set."""
+    gens = enumerate_generators(N, weight)
+    pos = {g: i for i, g in enumerate(gens)}
+    power = [CycNum.root_power(N, s).coeffs for s in range(N)]
+    alphabet = [E_ZERO, *range(N)]
+    out = set()
+    for a in range(weight):
+        us = [u for u in itertools.product(alphabet, repeat=a) if not u or u[-1] != E_ZERO]
+        for u, v in itertools.product(us, itertools.product(alphabet, repeat=weight - 1 - a)):
+            split = [[0] * len(gens) for _ in power[0]]
+            for ix, c in linear_shuffle_row(Word(u, N), Word(v, N)).items():
+                for f in itertools.product(range(N), repeat=ix.depth):
+                    s = sum(e * x for e, x in zip(ix.es, f)) % N
+                    for row, z in zip(split, power[s]):
+                        row[pos[CongruenceIndex(ix.ks, f, N)]] += c * z
+            out.update(tuple(map(int, row)) for row in split if any(row))
+    return out
+
+
+@pytest.mark.parametrize("N, weight", [(N, w) for N in (1, 2, 3, 4) for w in (1, 2, 3, 4)] + [(2, 5)])
+def test_linear_shuffle_rows_are_the_fourier_rows(N, weight):
+    gens = enumerate_generators(N, weight)
+    rows = relations.linear_shuffle_rows(N, weight, [], {g: i for i, g in enumerate(gens)})
+    assert {tuple(row) for row in rows.tolist()} == _fourier_rows(N, weight)
+    assert len(rows) == len({tuple(row) for row in rows.tolist()})
+    for alpha in {3: (1, 2), 4: (1, 3)}.get(N, ()):
+        table = finite.build_residue_table(gens, primes_in_class(N, alpha, 4, floor=50), use_cache=False)
+        assert not (rows.astype(np.int64) @ table.int_matrix() % table.primes).any()
+
+
+def test_linear_shuffle_rows_on_the_reversal_free_generators():
+    # each generator outside free is replaced through its reversal row
+    N, weight, alpha = 3, 3, 2
+    gens = enumerate_generators(N, weight)
+    reversal = relations.reversal_relations_congruence(N, weight, alpha)
+    pivots = {next(iter(row)) for row in reversal}
+    free = {g: j for j, g in enumerate(g for g in gens if g not in pivots)}
+    full = relations.linear_shuffle_rows(N, weight, [], {g: i for i, g in enumerate(gens)})
+    into = np.zeros((len(gens), len(free)), dtype=np.int64)
+    for g, j in free.items():
+        into[gens.index(g), j] = 1
+    for row in reversal:
+        if len(row) == 2:
+            (g, _), (h, c) = row.items()
+            into[gens.index(g), free[h]] = -c
+    want = {tuple(r) for r in (full @ into).tolist() if any(r)}
+    got = relations.linear_shuffle_rows(N, weight, reversal, free)
+    assert {tuple(r) for r in got.tolist()} == want and len(got) == len(want)
 
 
 # ---- per-prime identity checks ----
@@ -318,16 +371,22 @@ def _counting_lll(monkeypatch):
 @pytest.mark.parametrize("N, alpha, wmax", [(3, 1, 4), (3, 2, 4), (2, 1, 5)])
 def test_relation_cache_cold_warm_and_off_agree(N, alpha, wmax, tmp_path, monkeypatch):
     calls = _counting_lll(monkeypatch)
+    built = []
+    real_rows = relations.linear_shuffle_rows
+    monkeypatch.setattr(relations, "linear_shuffle_rows", lambda *a: built.append(1) or real_rows(*a))
     config = DimConfig(prime_floor=50, cache_dir=str(tmp_path))
     cold = dimension_table(N, alpha, wmax, config)
     assert calls
     path = tmp_path / f"relations_N{N}_a{alpha}.jsonl"
     written = path.stat()
+    assert built
     calls.clear()
+    built.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = dimension_table(N, alpha, wmax, config)
     assert not calls  # no lattice is reduced on a warm cache
+    assert not built  # and no linear-shuffle row is built: the record holds them
     assert (path.stat().st_ino, path.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
     off = dimension_table(N, alpha, wmax, replace(config, use_cache=False))
     assert warm == cold == off
@@ -366,6 +425,21 @@ def test_tampered_relation_record_is_recomputed(tamper, tmp_path, monkeypatch):
     assert path.read_bytes() == written
 
 
+@pytest.mark.parametrize("tamper", [_off_by_one, _swapped, _summed])
+def test_tampered_proven_rows_are_recomputed(tamper, tmp_path):
+    config = replace(SMALL, cache_dir=str(tmp_path))
+    cold = dimension_table(3, 1, 3, config)
+    path = tmp_path / "relations_N3_a1.jsonl"
+    written = path.read_bytes()
+    records = [json.loads(line) for line in written.decode().splitlines()]
+    tamper(max((rec["proven"] for rec in records), key=len))
+    path.write_text("".join(map(finite._dump, records)))
+    with pytest.warns(UserWarning, match=re.escape(str(path))):
+        again = dimension_table(3, 1, 3, config)
+    assert again == cold
+    assert path.read_bytes() == written
+
+
 @pytest.mark.parametrize("change", [
     {"height_bound": 500}, {"train_primes": 9, "verify_primes": 3}, {"twist": 2},
 ])
@@ -382,24 +456,40 @@ def test_relation_cache_misses_on_a_changed_key(change, tmp_path, monkeypatch):
 
 
 def test_relation_cache_misses_on_a_changed_residue(tmp_path, monkeypatch):
-    # k=1,1;f=0,1 is its own reversal at even weight, so no proven row holds
-    # it and a changed residue reaches the lattice; use_cache=False would
-    # recompute the residue, so the reference is a lattice on the same cache
+    # k=2;f=2 is its own reversal at even weight at N=3, alpha=1, and no
+    # linear-shuffle row of weight 2 holds it, so a changed residue reaches
+    # the lattice; use_cache=False would recompute the residue, so the
+    # reference is a lattice on the same cache
     config = replace(SMALL, cache_dir=str(tmp_path))
-    dimension_table(2, 1, 3, config)
-    residues = tmp_path / "residues_N2_a1.jsonl"
+    dimension_table(3, 1, 2, config)
+    residues = tmp_path / "residues_N3_a1.jsonl"
     columns = [json.loads(line) for line in residues.read_text().splitlines()]
-    (col,) = [col for col in columns if col["p"] == 53]
-    residue = col["residues"]["k=1,1;f=0,1"]
-    residue[0] = (residue[0] + 1) % 53
+    (col,) = [col for col in columns if col["p"] == 61]
+    residue = col["residues"]["k=2;f=2"]
+    residue[0] = (residue[0] + 1) % 61
     residues.write_text("".join(map(finite._dump, columns)))
     calls = _counting_lll(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = dimension_table(2, 1, 3, config)
+        got = dimension_table(3, 1, 2, config)
     assert calls
-    (tmp_path / "relations_N2_a1.jsonl").unlink()
-    assert got == dimension_table(2, 1, 3, config)
+    (tmp_path / "relations_N3_a1.jsonl").unlink()
+    assert got == dimension_table(3, 1, 2, config)
+
+
+def test_corrupt_residue_in_a_linear_shuffle_row_fails_loudly(tmp_path):
+    # k=1,1;f=0,1 is its own reversal at N=2, so no reversal row holds it,
+    # but a linear-shuffle row of weight 2 does
+    config = replace(SMALL, cache_dir=str(tmp_path))
+    dimension_table(2, 1, 2, config)
+    residues = tmp_path / "residues_N2_a1.jsonl"
+    columns = [json.loads(line) for line in residues.read_text().splitlines()]
+    (col,) = [col for col in columns if col["p"] == 59]
+    residue = col["residues"]["k=1,1;f=0,1"]
+    residue[0] = (residue[0] + 1) % 59
+    residues.write_text("".join(map(finite._dump, columns)))
+    with pytest.raises(AssertionError, match=r"exact relation failed at p=59: .*k=1,1;f=0,1"):
+        dimension_table(2, 1, 2, config)
 
 
 def test_cache_dir_that_is_a_file_warns(tmp_path):

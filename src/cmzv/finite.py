@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fq import BadPrimeError, Fq, FqContext, is_prime, make_fq_context
+from .fq import BadPrimeError, Fq, FqContext, is_prime, make_fq_context, zeta_table
 from .fq import inverse_row as inverse_table  # the int64 row, with no list round trip
 from .words import Index, _parse_fields, format_index, nested_sum
 
@@ -259,14 +259,16 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
         if not colored:
             out[trie.at, 0] = sums[trie.node]
             continue
-        zeta = np.array([ctx.zeta_power(t).coeffs for t in range(N)], dtype=np.int64)
-        out[trie.at] = (sums[trie.node, :, None] * zeta % p).sum(axis=1) % p
+        out[trie.at] = (sums[trie.node, :, None] * zeta_table(ctx)[:, 0] % p).sum(axis=1) % p
     return out
 
 
-def _fq_residues(gens, p: int, ctx: FqContext) -> list[Fq]:
-    """The residues of gens (or their _Slots) at p as Fq, from one _residues call."""
-    return [Fq(ctx, v) for v in _residues(gens, p, ctx).tolist()]
+def _zeta_sum(rows: np.ndarray, coeffs, shifts, ctx: FqContext) -> np.ndarray:
+    """sum_i coeffs[i] zeta^shifts[i] rows[i] in the field of ctx, as d ints mod p:
+    rows[i] times the matrix of zeta^shifts[i] in zeta_table."""
+    p, times = ctx.p, zeta_table(ctx)[np.array(shifts, dtype=np.int64) % ctx.N]  # (n, d, d)
+    moved = (rows[:, :, None] * times % p).sum(axis=1) % p  # zeta^shifts[i] rows[i]
+    return (np.array(coeffs, dtype=np.int64).reshape(-1, 1) % p * moved % p).sum(axis=0) % p
 
 
 def _context(ctx: FqContext | None, p: int, N: int) -> FqContext:
@@ -278,7 +280,8 @@ def _context(ctx: FqContext | None, p: int, N: int) -> FqContext:
 
 def finite_residue(ix: Index, p: int, ctx: FqContext | None = None) -> Fq:
     """The truncated colored sum below p in the residue field of ctx."""
-    return _fq_residues([ix], p, _context(ctx, p, ix.level))[0]
+    ctx = _context(ctx, p, ix.level)
+    return Fq(ctx, _residues([ix], p, ctx)[0].tolist())
 
 
 def congruence_residue_int(cix: CongruenceIndex, p: int) -> int:
@@ -292,17 +295,13 @@ def congruence_residue(cix: CongruenceIndex, p: int, ctx: FqContext | None = Non
 
 
 def congruence_from_colored(cix: CongruenceIndex, p: int, ctx: FqContext | None = None) -> Fq:
-    """The N^r-term average of colored residues; cross-checks the direct sum."""
+    """N^-r sum_e zeta^(-e.f) (k; e) over the N^r colors e; cross-checks the direct sum."""
     ctx = _context(ctx, p, cix.level)
     N, r = cix.level, cix.depth
-    if r == 0:
-        return ctx.one()
     colors = list(itertools.product(range(N), repeat=r))
-    total = ctx.zero()
-    for es, value in zip(colors, _fq_residues([Index(cix.ks, es, N) for es in colors], p, ctx)):
-        total = total + ctx.zeta_power(-sum(e * f for e, f in zip(es, cix.fs)) % N) * value
-    scale = pow(pow(N, r, p), p - 2, p)
-    return total * scale
+    rows = _residues([Index(cix.ks, es, N) for es in colors], p, ctx)
+    shifts = [-sum(e * f for e, f in zip(es, cix.fs)) for es in colors]
+    return Fq(ctx, _zeta_sum(rows, [pow(N, -r, p)] * len(colors), shifts, ctx).tolist())
 
 
 # ---- residue tables with a disk cache ---------------------------------------------

@@ -200,16 +200,21 @@ class FqContext:
         return Fq(self, (c % self.p,) + (0,) * (self.d - 1))
 
     def zeta_power(self, a: int) -> "Fq":
-        return _zeta_power_cached(self)[a % self.N]
+        return Fq(self, zeta_table(self)[a % self.N, 0].tolist())
 
 
 @lru_cache(maxsize=None)
-def _zeta_power_cached(ctx: FqContext) -> tuple:
-    pows = [ctx.one()]
-    z = ctx.zeta_image
-    for _ in range(ctx.N - 1):
-        pows.append(pows[-1] * z)
-    return tuple(pows)
+def zeta_table(ctx: FqContext) -> np.ndarray:
+    """The read-only (N, d, d) int64 array whose [t, j] is zeta^t x^j: entry t is
+    the matrix of multiplication by zeta^t on the power basis 1, x, .., x^(d-1)."""
+    basis = [Fq(ctx, row) for row in np.eye(ctx.d, dtype=int).tolist()]
+    table, power = [], ctx.one()
+    for _ in range(ctx.N):
+        table.append([(power * b).coeffs for b in basis])
+        power = power * ctx.zeta_image
+    table = np.array(table, dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 class Fq:

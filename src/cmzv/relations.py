@@ -33,13 +33,11 @@ import numpy as np
 
 from . import finite
 from .cyclotomic import CycNum, _ctx, _prime_factors, euler_phi
-from .fq import make_fq_context
 from .finite import (
     CongruenceIndex,
     PrimeClass,
     ResidueTable,
-    _fq_residues,
-    _Slots,
+    _zeta_sum,
     build_residue_table,
     format_congruence_index,
     primes_in_class,
@@ -199,7 +197,14 @@ def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -
     def words(n, last=range(B)):  # every code of length n, its last letter in last
         return np.array([(*w, x) for w in itertools.product(range(B), repeat=n - 1) for x in last])
 
-    out = []
+    def distinct(blocks):  # their nonzero rows, each once, sorted
+        rows = np.concatenate(blocks)
+        blocks.clear()  # free the blocks once joined: two copies of the rows at most
+        rows = rows[np.lexsort(rows.T)]  # no np.unique: it imports numpy.ma, 1 MB
+        first = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+        return rows[first & rows.any(axis=1)]
+
+    out = []  # the distinct rows of each |u|
     for a in range(weight):  # |u| = a, |v| = b; V holds the words v e_1
         b = weight - 1 - a
         U, V = words(a, range(1, B)) if a else np.zeros((1, 0), dtype=int), words(b + 1, [1])
@@ -210,47 +215,34 @@ def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -
 
         acc = sum(terms(S, V) for S in itertools.combinations(range(weight), a))
         acc += (-1) ** b * terms(range(b + 1, weight), V[:, [*range(b - 1, -1, -1), b]])
-        out.append(acc.reshape(-1, len(free)))
-    rows = np.concatenate(out)
-    rows = rows[np.lexsort(rows.T)]  # no np.unique: it imports numpy.ma, 1 MB
-    first = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-    return rows[first & rows.any(axis=1)]
+        out.append(distinct([acc.reshape(-1, len(free))]))
+    return distinct(out)
 
 
 # ---- per-prime checks of the proven families ----------------------------------------
 
 
-def _fraction_mod(c: Fraction, p: int) -> int:
-    c = Fraction(c)
-    if c.denominator % p == 0:
-        raise ValueError(f"denominator of {c} vanishes mod {p}")
-    return c.numerator * pow(c.denominator, -1, p) % p
+def _holds(terms, pclass: PrimeClass, twist: int) -> dict:
+    """{prime: whether sum c zeta^s x(g) over the (g, c, s) in terms vanishes}, from one table."""
+    gens, coeffs, shifts = zip(*terms) if terms else ((), (), ())
+    table = build_residue_table(gens, pclass, use_cache=False, twist=twist)
+    return {
+        p: not _zeta_sum(table.values[:, j], coeffs, shifts, table.contexts[p]).any()
+        for j, p in enumerate(table.primes)
+    }
 
 
 def check_linear_shuffle_finite(u: Word, v: Word, pclass: PrimeClass, twist: int = 1) -> dict:
     """Per-prime exactness of the linear shuffle identity; {prime: bool}."""
-    row = linear_shuffle_row(u, v)
-    slots = _Slots(list(row))
-    results = {}
-    for p in pclass.primes:
-        ctx = make_fq_context(p, pclass.level, twist)
-        values = zip(_fq_residues(slots, p, ctx), row.values())
-        results[p] = sum((value * _fraction_mod(c, p) for value, c in values), ctx.zero()).is_zero
-    return results
+    return _holds([(g, int(c), 0) for g, c in linear_shuffle_row(u, v).items()], pclass, twist)
 
 
 def check_reversal_finite(ix: Index, pclass: PrimeClass, twist: int = 1) -> dict:
-    """Per-prime exactness of the reversal identity; {prime: bool}."""
-    N = ix.level
-    sign = -1 if ix.weight % 2 else 1
-    slots = _Slots([Index(ix.ks, tuple(-e % N for e in ix.es), N), ix.reversed()])
-    results = {}
-    for p in pclass.primes:
-        ctx = make_fq_context(p, N, twist)
-        lhs, rev = _fq_residues(slots, p, ctx)
-        color = ctx.zeta_power((-pclass.alpha * sum(ix.es)) % N)
-        results[p] = lhs == color * rev * (sign % p)
-    return results
+    """Per-prime exactness of the reversal identity (k; -e) = (-1)^w
+    zeta^(-alpha sum e) rev(k; e), from m -> p - m; {prime: bool}."""
+    lhs = Index(ix.ks, [-e for e in ix.es], ix.level)
+    terms = [(lhs, 1, 0), (ix.reversed(), -(-1) ** ix.weight, -pclass.alpha * sum(ix.es))]
+    return _holds(terms, pclass, twist)
 
 
 def check_linear_shuffle_symmetric(u: Word, v: Word, alpha: int, cfg=None) -> dict:
@@ -584,6 +576,8 @@ class DimConfig:
             raise ValueError("height_bound must be at least 1")
         if self.train_primes < 1 or self.verify_primes < 1:
             raise ValueError("need at least one training and one held-out prime")
+        if self.prime_floor is not None and self.prime_floor < 2:  # the reversal rows need p odd
+            raise ValueError("prime_floor must be at least 2")
 
 
 @dataclass(frozen=True)

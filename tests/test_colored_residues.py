@@ -18,12 +18,13 @@ import math
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmzv import finite
+from cmzv import finite, relations
 from cmzv.finite import (
     CongruenceIndex,
     PrimeClass,
@@ -31,6 +32,7 @@ from cmzv.finite import (
     congruence_from_colored,
     congruence_residue_int,
     finite_residue,
+    primes_in_class,
 )
 from cmzv.fq import Fq, make_fq_context, to_residue_field
 from cmzv.qsums import truncated_cmzv_exact
@@ -190,6 +192,58 @@ def test_checks_make_one_residue_call_per_prime(monkeypatch):
         congruence_residue_int(cix, 11)
     )
     assert calls == [11, 11]  # the colored batch, then the direct congruence sum
+
+
+# (N, alpha, twist): F_p(zeta_N) of degree 1 (N = 2, 3), 2 and 4, at twists 1
+# and 2.  At N = 3, alpha = 1, p splits: the twist picks another prime above p,
+# and at p = 7 some residues vanish modulo one of them and not the other
+_CHECKED = [(2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2), (4, 3, 1), (5, 2, 1), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("N, alpha, twist", _CHECKED)
+def test_reversal_check_fails_where_the_fq_reference_does(N, alpha, twist):
+    # a class that names another alpha asks for another power of zeta (for
+    # N = 2, the other sign): the check holds at every prime with the right
+    # power and, like the identity summed in Fq, fails where it does not
+    pclass = primes_in_class(N, alpha, 5, floor=5)
+    indices = (((2, 1, 1), (1, 2, 0)), ((1, 2), (1, 1)), ((3,), (1,)), ((1, 1), (0, 1)))
+    for ks, es in indices:
+        ix = Index(ks, es, N)
+        for named in range(N):
+            asked = SimpleNamespace(level=N, alpha=named, primes=pclass.primes)
+            want = {}
+            for p in pclass.primes:
+                ctx = make_fq_context(p, N, twist)
+                lhs = finite_residue(Index(ks, tuple(-e % N for e in es), N), p, ctx)
+                rev = finite_residue(ix.reversed(), p, ctx) * ((-1) ** ix.weight % p)
+                want[p] = lhs == ctx.zeta_power(-named * sum(es)) * rev
+            got = check_reversal_finite(ix, asked, twist)
+            assert got == want
+            assert all(got.values()) == ((named - alpha) * sum(es) % N == 0)
+
+
+@pytest.mark.parametrize("N, alpha, twist", _CHECKED)
+def test_linear_shuffle_check_fails_where_the_fq_reference_does(N, alpha, twist, monkeypatch):
+    # the row, then the row with each coefficient in turn moved by one; a
+    # moved row fails unless its index vanishes at every prime, as some do
+    pclass = primes_in_class(N, alpha, 5, floor=5)
+    u, v = Word((E_ZERO, 1 % N), N), Word((N - 1, E_ZERO), N)
+    right = linear_shuffle_row(u, v)
+    assert len(right) > 2
+    failed = 0
+    for moved in [None, *right]:
+        row = {g: c + (g == moved) for g, c in right.items()}
+        monkeypatch.setattr(relations, "linear_shuffle_row", lambda u, v: row)
+        want = {}
+        for p in pclass.primes:
+            ctx = make_fq_context(p, N, twist)
+            terms = (finite_residue(g, p, ctx) * (int(c) % p) for g, c in row.items())
+            want[p] = sum(terms, ctx.zero()).is_zero
+        got = check_linear_shuffle_finite(u, v, pclass, twist)
+        assert got == want
+        assert all(got.values()) or moved is not None
+        failed += not all(got.values())
+    assert failed
 
 
 def test_table_builds_its_slot_arrays_once(monkeypatch):

@@ -21,7 +21,7 @@ from cmzv.finite import (
     parse_congruence_index,
     primes_in_class,
 )
-from cmzv.fq import inverse_table, make_fq_context, to_residue_field
+from cmzv.fq import FqContext, inverse_table, make_fq_context, to_residue_field
 from cmzv.qsums import truncated_cmzv_exact
 from cmzv.words import Index
 
@@ -209,6 +209,18 @@ def test_congruence_matches_fourier_expansion():
             direct = congruence_residue(cix, p)
             assert congruence_from_colored(cix, p, ctx) == direct
             assert direct == ctx.scalar(congruence_residue_int(cix, p))
+
+
+@pytest.mark.parametrize("p, twist", [(7, 1), (13, 1), (17, 2)])
+def test_congruence_fourier_in_degree_four(p, twist):
+    # N = 5 with p = 2 or 3 (mod 5): the colored residues lie in F_(p^4), also
+    # in a context built by hand whose root of unity is x^2, not x
+    canonical = make_fq_context(p, 5, twist)
+    for ctx in (canonical, FqContext(p, 5, 4, canonical.modulus, (0, 0, 1, 0))):
+        assert ctx.d == 4
+        for ks, fs in (((1,), (2,)), ((2, 1), (1, 3)), ((1, 1, 2), (0, 4, 2)), ((), ())):
+            cix = CongruenceIndex(ks, fs, 5)
+            assert congruence_from_colored(cix, p, ctx) == congruence_residue(cix, p, ctx)
 
 
 @settings(max_examples=15, deadline=None)

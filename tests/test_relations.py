@@ -1,5 +1,6 @@
 """Relation families, LLL discovery, and the dimension tables."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -164,6 +165,37 @@ def test_linear_shuffle_rows_are_the_fourier_rows(N, weight):
     for alpha in {3: (1, 2), 4: (1, 3)}.get(N, ()):
         table = finite.build_residue_table(gens, primes_in_class(N, alpha, 4, floor=50), use_cache=False)
         assert not (rows.astype(np.int64) @ table.int_matrix() % table.primes).any()
+
+
+# sha256 prefixes of the rows on the reversal-free generators, as the
+# builder gave them when it kept every row before one deduplication
+_PINNED_ROWS = {
+    (3, 1, 1): ((0, 1), "e3b0c44298fc1c14"),
+    (3, 2, 1): ((5, 8), "c8279c635d9ca441"),
+    (3, 3, 1): ((15, 22), "8cc808f7d6b049af"),
+    (3, 4, 1): ((120, 104), "7b955543cc567968"),
+    (3, 5, 1): ((981, 376), "44b207e467d5b4de"),
+    (3, 1, 2): ((0, 1), "e3b0c44298fc1c14"),
+    (3, 2, 2): ((5, 8), "9c9df073798f8fea"),
+    (3, 3, 2): ((15, 22), "ec98cbec977f127e"),
+    (3, 4, 2): ((120, 104), "b80a44e7ef8eb8e0"),
+    (3, 5, 2): ((981, 376), "2546a4f0bedda573"),
+    (2, 6, 1): ((530, 252), "474a16974abcfd7e"),
+    (4, 4, 1): ((191, 260), "bc9484570480d13f"),
+    (4, 4, 3): ((191, 260), "b3fe8b69f14f0882"),
+}
+
+
+@pytest.mark.parametrize("N, weight, alpha", sorted(_PINNED_ROWS))
+def test_linear_shuffle_rows_are_pinned(N, weight, alpha):
+    # deduplicating each |u| block as it is built leaves the array as it was
+    reversal = relations.reversal_relations_congruence(N, weight, alpha)
+    pivots = {next(iter(row)) for row in reversal}
+    free = {g: j for j, g in enumerate(g for g in enumerate_generators(N, weight) if g not in pivots)}
+    rows = relations.linear_shuffle_rows(N, weight, reversal, free)
+    shape, digest = _PINNED_ROWS[N, weight, alpha]
+    assert rows.dtype == np.int16 and rows.shape == shape
+    assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == digest
 
 
 def test_linear_shuffle_rows_on_the_reversal_free_generators():
@@ -531,6 +563,16 @@ def test_dimension_report_validates_range():
 def test_dim_config_rejects_budgets_that_certify_nothing(kwargs):
     with pytest.raises(ValueError):
         DimConfig(**kwargs)
+
+
+def test_dim_config_refuses_a_prime_floor_that_admits_two():
+    # at p = 2 the odd-weight reversal row {g: 1} of a fixed point g = -g fails
+    for floor in (1, 0, -3):
+        with pytest.raises(ValueError):
+            DimConfig(prime_floor=floor)
+    config = DimConfig(prime_floor=2, use_cache=False)
+    assert [r.dim_estimate for r in dimension_table(3, 2, 4, config)] == [1, 2, 4, 8]
+    assert [r.dim_estimate for r in dimension_table(1, 1, 5, config)] == [0, 0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("N, alpha, weight", [(1, 1, 4), (2, 1, 3), (3, 2, 3), (4, 3, 2), (5, 2, 2)])

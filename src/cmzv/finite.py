@@ -595,16 +595,17 @@ def build_residue_table(
     table = ResidueTable(pclass, generators, contexts=contexts)
     gens, values, col_of = table.generators, table.values, table.col_of
 
-    cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
-    columns, rewrite = _read_cache(cache_file) if use_cache else ({}, False)
-    keys = [_generator_key(g) for g in gens]
-    for p, j in col_of.items():
-        residues = columns.get(_head(N, alpha, p, contexts[p]))
-        found = [residues.get(key) for key in keys] if residues else []
-        if found and None not in found:
-            values[:, j] = found
-        elif rows := [i for i, residue in enumerate(found) if residue is not None]:
-            values[rows, j] = [found[i] for i in rows]
+    if use_cache:  # the key and head lookups serve the cache alone
+        cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
+        columns, rewrite = _read_cache(cache_file)
+        keys = [_generator_key(g) for g in gens]
+        for p, j in col_of.items():
+            residues = columns.get(_head(N, alpha, p, contexts[p]))
+            found = [residues.get(key) for key in keys] if residues else []
+            if found and None not in found:
+                values[:, j] = found
+            elif rows := [i for i, residue in enumerate(found) if residue is not None]:
+                values[rows, j] = [found[i] for i in rows]
 
     todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
     todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue

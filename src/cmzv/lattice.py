@@ -183,20 +183,23 @@ def lll_reduce(lattice, delta=Fraction(99, 100)) -> IntLattice:
 
 def _rref_mod(R, q):
     """Pivots (latest first) and reduced rows of R mod q, pivots on the latest
-    columns, one row per pivot.  A new pivot row is zero past its pivot, so
-    it updates only the rows that are nonzero at the pivot, up to it."""
-    A, pivots = np.asarray(R, dtype=np.int64) % q, []
+    columns, one row per pivot, and the rows of R that became the pivot
+    rows: independent mod q, they span R mod q.  A new pivot row is zero
+    past its pivot, so it updates only the rows that are nonzero at the
+    pivot, up to it, 256 at a time to bound the temporaries."""
+    A, pivots, origin = np.asarray(R, dtype=np.int64) % q, [], np.arange(len(R))
     for col in range(R.shape[1] - 1, -1, -1):
         i = len(pivots)
         nz = np.flatnonzero(A[i:, col])
         if nz.size:
             A[[i, i + nz[0]]] = A[[i + nz[0], i]]
+            origin[[i, i + nz[0]]] = origin[[i + nz[0], i]]
             A[i, : col + 1] = head = A[i, : col + 1] * pow(int(A[i, col]), -1, q) % q
             at = np.flatnonzero(A[:, col])
-            at = at[at != i]
-            A[at, : col + 1] = (A[at, : col + 1] - A[at, col, None] * head) % q
+            for rows in np.split(at[at != i], range(256, len(at), 256)):
+                A[rows, : col + 1] = (A[rows, : col + 1] - A[rows, col, None] * head) % q
             pivots.append(col)
-    return pivots, A[: len(pivots)]
+    return pivots, A[: len(pivots)], origin[: len(pivots)]
 
 
 def echelon_basis(R) -> list[list[int]]:
@@ -207,18 +210,21 @@ def echelon_basis(R) -> list[list[int]]:
     elimination mod 31-bit primes and lifted by CRT and rational
     reconstruction until it spans exactly the rows of R.  A prime that loses
     rank moves pivots earlier, so its form is passed over once a better one
-    is known, and cannot span R while it is the best.
+    is known, and cannot span R while it is the best.  The primes after the
+    first reduce only the rows S of R that it found independent; should
+    that prime have lost rank, S fails to span R where its own form spans
+    S, and every row is taken again.
     """
-    best, M, q = None, 1, 2**31 + 1
+    best, M, q, S = None, 1, 2**31 + 1, R
     while len(R):
         q -= 2
-        got = _rref_mod(R, q) if is_prime(q) else None
+        got = _rref_mod(S, q) if is_prime(q) else None
         if got is None or (best and got[0] < best):  # rank lost mod q moves pivots earlier
             continue
-        pivots, A = got
+        pivots, A, origin = got
         free = sorted(set(range(R.shape[1])) - set(pivots))
         if pivots != best:
-            best, vals, M = pivots, A[:, free].tolist(), q
+            best, vals, M, S = pivots, A[:, free].tolist(), q, S[np.sort(origin)]
         else:
             t = pow(M, -1, q)
             new = A[:, free].tolist()
@@ -241,8 +247,11 @@ def echelon_basis(R) -> list[list[int]]:
         top = max((abs(y) for row in Y for y in row), default=0)
         kind = np.int64 if int(np.abs(R).max()) * (len(R) * top + L) < 2**62 else object
         Y = np.array(Y, dtype=kind).reshape(len(rows), len(free))
-        if not (R[:, pivots].astype(kind) @ Y - R[:, free].astype(kind) * L).any():
+        spans = lambda T: not (T[:, pivots].astype(kind) @ Y - T[:, free].astype(kind) * L).any()
+        if spans(R):
             return [_normalize(row) for row in sorted(rows, key=len)]
+        if spans(S):
+            best, S = None, R
     return []
 
 

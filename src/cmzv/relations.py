@@ -4,9 +4,10 @@ The dimension pipeline works in the congruence model (values are prime-field
 integers), combining three sources of relations:
 
 * reversal under m -> p - m, eliminated symbolically over Q;
-* the linear shuffle family on the reversal-free generators, built as
-  small-integer arrays (linear_shuffle_rows), checked exactly at every
-  prime and put in echelon form; and
+* the double shuffle family on the reversal-free generators: the linear
+  shuffle rows (linear_shuffle_rows) and the products of lower-weight
+  proven rows with single letters (product_rows), built as small-integer
+  arrays, checked exactly at every prime and put in echelon form; and
 * integer relations among the generators left, from one lattice per
   weight fed the residues at the training primes, accepted only when they
   hold exactly at every held-out prime too, and certified up to a height.
@@ -15,7 +16,7 @@ Relations come in reduced echelon form, each eliminating one designated
 generator, so relation counts and dimensions add up directly.
 dimension_table keeps each weight's proven and lattice rows in a file
 beside the residue cache, and a later call with the same inputs builds no
-linear-shuffle row and reduces no lattice.
+linear-shuffle or product row and reduces no lattice.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .finite import (
     format_congruence_index,
     primes_in_class,
 )
-from .lattice import GSOBasis, echelon_basis, lll_reduce
+from .lattice import GSOBasis, _einsum, _rref_mod, echelon_basis, lll_reduce
 from .words import (
     Index,
     Word,
+    _product_table,
     difference_roots,
     shuffle_product,
     word_to_index,
@@ -155,6 +157,30 @@ def linear_shuffle_row(u: Word, v: Word) -> dict:
     return {g: c for g, c in row.items() if c}
 
 
+def _on_free(reversal: list[dict], free: dict) -> dict:
+    """generator -> (column in free, sign): a free generator is its own
+    column, one that a reversal row {g: 1, g': -sign} eliminates is sign
+    times g', and a fixed point of odd weight, which is zero, is missing."""
+    at = {g: (h, 1) for g, h in free.items()}
+    for row in reversal:
+        if len(row) == 2:
+            (g, _), (h, c) = row.items()
+            at[g] = (free[h], -int(c))
+    return at
+
+
+def _distinct(blocks: list) -> np.ndarray:
+    """The nonzero rows of the joined blocks, each once, sorted; the list is
+    emptied once they are joined, so two copies of the rows are alive at most."""
+    rows = np.concatenate(blocks)
+    blocks.clear()
+    if not len(rows):
+        return rows
+    rows = rows[np.lexsort(rows.T)]  # no np.unique: it imports numpy.ma, 1 MB
+    first = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    return rows[first & rows.any(axis=1)]
+
+
 def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -> np.ndarray:
     """Every linear_shuffle_row(u, v) of the given weight on the congruence
     generators in free (generator -> column), as the rows of a small-integer
@@ -172,11 +198,7 @@ def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -
     if not free:
         return np.zeros((0, 0), dtype=np.int16)
     gens, B, P = enumerate_generators(N, weight), N + 1, _ctx(N)._table  # P[s]: zeta^s
-    at = {g: (h, 1) for g, h in free.items()}
-    for row in reversal:
-        if len(row) == 2:  # {g: 1, g': -sign}: g = sign g'
-            (g, _), (h, c) = row.items()
-            at[g] = (free[h], -int(c))
+    at = _on_free(reversal, free)
     column, sign = np.array([at.get(g, (0, 0)) for g in gens], dtype=np.int64).reshape(-1, 2).T
     # an entry is a sum of at most C(w, w/2) + 1 words, each meeting a column twice
     top = 2 * (math.comb(weight, weight // 2) + 1) * _ctx(N).power_bound
@@ -197,13 +219,6 @@ def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -
     def words(n, last=range(B)):  # every code of length n, its last letter in last
         return np.array([(*w, x) for w in itertools.product(range(B), repeat=n - 1) for x in last])
 
-    def distinct(blocks):  # their nonzero rows, each once, sorted
-        rows = np.concatenate(blocks)
-        blocks.clear()  # free the blocks once joined: two copies of the rows at most
-        rows = rows[np.lexsort(rows.T)]  # no np.unique: it imports numpy.ma, 1 MB
-        first = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-        return rows[first & rows.any(axis=1)]
-
     out = []  # the distinct rows of each |u|
     for a in range(weight):  # |u| = a, |v| = b; V holds the words v e_1
         b = weight - 1 - a
@@ -215,8 +230,49 @@ def linear_shuffle_rows(N: int, weight: int, reversal: list[dict], free: dict) -
 
         acc = sum(terms(S, V) for S in itertools.combinations(range(weight), a))
         acc += (-1) ** b * terms(range(b + 1, weight), V[:, [*range(b - 1, -1, -1), b]])
-        out.append(distinct([acc.reshape(-1, len(free))]))
-    return distinct(out)
+        out.append(_distinct([acc.reshape(-1, len(free))]))
+    return _distinct(out)
+
+
+def _class_bracket(level, x, y):
+    """Two blocks (k; f) and (k'; f) of one class merge into (k + k'; f);
+    blocks of two classes do not merge (m = m' needs f = f')."""
+    return (x[0] + y[0], x[1]) if x[1] == y[1] else None
+
+
+def product_rows(N: int, weight: int, raw: dict, reversal: list[dict], free: dict) -> np.ndarray:
+    """Every row of raw[a], a < weight, times every letter (weight - a; f) in
+    the congruence quasi-shuffle, on the generators in free as
+    linear_shuffle_rows writes its rows; zero and repeated rows dropped.
+
+    raw[a] holds integer rows on enumerate_generators(N, a).  A truncated
+    sum times the sum of one letter is the sum over the letter put in at
+    every position and merged with every block of its own class, so a row
+    that vanishes at a prime gives products that vanish there too.  M[f]
+    takes each generator of weight a to its product with (weight - a; f),
+    and the products of raw[a] are raw[a] @ M[f].
+    """
+    if not free:
+        return np.zeros((0, 0), dtype=np.int16)
+    at = {tuple(zip(g.ks, g.fs)): cs for g, cs in _on_free(reversal, free).items()}
+    memo, out = {}, []  # _product_table's memo, dropped with this call
+    for a, R in raw.items():
+        if a >= weight or not len(R):
+            continue
+        gens = enumerate_generators(N, a)
+        M = np.zeros((N, len(gens), len(free)))
+        for f, (i, g) in itertools.product(range(N), enumerate(gens)):
+            u, letter = tuple(zip(g.ks, g.fs)), ((weight - a, f),)
+            for blocks, c in _product_table(N, u, letter, _class_bracket, memo).items():
+                h, sign = at.get(blocks, (0, 0))
+                M[f, i, h] += c * sign
+        if int(np.abs(R).max()) * int(np.abs(M).sum(axis=1).max()) >= 2**53:
+            raise ArithmeticError("product rows outgrew float64")
+        # exact below 2^53; numpy's C einsum, not BLAS, whose start-up costs 0.3 MB RSS
+        products = _einsum("ij,fjk->fik", R.astype(np.float64), M)
+        out.append(products.astype(np.int64).reshape(-1, len(free)))
+    rows = _distinct(out) if out else np.zeros((0, len(free)), dtype=np.int64)
+    return rows.astype(np.int16) if len(rows) and np.abs(rows).max() < 2**15 else rows
 
 
 # ---- per-prime checks of the proven families ----------------------------------------
@@ -278,7 +334,7 @@ class RelationCandidate:
     """A verified linear relation among generators, coefficients in Q(zeta_N)."""
 
     coefficients: dict
-    source: str  # reversal | linear_shuffle | lll_discovered
+    source: str  # reversal | double_shuffle | lll_discovered
     verified_primes: int
 
     def __post_init__(self):
@@ -287,7 +343,7 @@ class RelationCandidate:
         levels = {c.level for c in self.coefficients.values()}
         if len(levels) != 1:
             raise ValueError("coefficients must share one level")
-        if self.source not in ("reversal", "linear_shuffle", "lll_discovered"):
+        if self.source not in ("reversal", "double_shuffle", "lll_discovered"):
             raise ValueError(f"unknown source {self.source!r}")
 
 
@@ -308,7 +364,7 @@ class Discovery(list):
             RelationCandidate(
                 {on[h]: CycNum.rational(N, c) for h, c in enumerate(row) if c}, source, verified
             )
-            for on, source, these in ((gens, "linear_shuffle", proven), (rest, "lll_discovered", rows))
+            for on, source, these in ((gens, "double_shuffle", proven), (rest, "lll_discovered", rows))
             for row in these
         )
         self.rows, self.proven = list(rows), list(proven)
@@ -408,12 +464,10 @@ def discover_relations_lll(
 
 
 def _discover(table: ResidueTable, split, height_bound: int, proven_rows) -> Discovery:
-    """The proven rows on the generators of table, from proven_rows(),
-    checked at every prime and put in echelon form, then
+    """The proven rows on the generators of table, from proven_rows(), which
+    checks them at every prime, put in echelon form, then
     discover_relations_lll on the generators left without a pivot."""
-    R = proven_rows()
-    _check_exact_rows(R, table)  # the family is proven; fail loudly
-    proven = echelon_basis(R)
+    proven = echelon_basis(proven_rows())
     pivots = {len(row) - 1 for row in proven}
     rest = table.subtable([g for h, g in enumerate(table.generators) if h not in pivots])
     found = discover_relations_lll(rest, height_bound, split)
@@ -434,10 +488,10 @@ def _question(rec) -> str:
 
 def _code_crc() -> int:
     """crc32 of the sources that decide the proven rows and a relation
-    lattice: this file, lattice.py, cyclotomic.py (the powers of zeta) and
-    finite.py (the reversal)."""
+    lattice: this file, lattice.py, cyclotomic.py (the powers of zeta),
+    finite.py (the reversal) and words.py (the quasi-shuffle)."""
     crc = 0
-    for name in ("cyclotomic.py", "finite.py", "lattice.py", "relations.py"):
+    for name in ("cyclotomic.py", "finite.py", "lattice.py", "relations.py", "words.py"):
         with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
             crc = zlib.crc32(fh.read(), crc)
     return crc
@@ -658,6 +712,31 @@ def dimension_table(
     if config.use_cache:  # beside the residue file, named by the class's reduced alpha
         root = config.cache_dir or finite._default_cache_dir()
         cache = _RelationCache(finite._relations_path(root, N, plan[0][1].alpha))
+    levels = {}  # weight -> reversal rows, their array, the free table, its rows in gens
+    raw = {}  # weight -> the rows that products multiply (see proven), for this call only
+
+    def proven(weight):
+        """The linear-shuffle and product rows of weight on its free
+        generators, checked at every prime.  Below weight_max, those of
+        them that are independent mod 2^31 - 1, and span the rest there,
+        join the reversal rows in raw[weight]: rows that vanish at every
+        prime, never their echelon form, which can divide by a prime of the
+        class."""
+        rows, A, free, on = levels[weight]
+        for a in range(1, weight):
+            if a not in raw:
+                proven(a)  # its weight was served from the cache
+        R = _distinct([
+            linear_shuffle_rows(N, weight, rows, free.row_of),
+            product_rows(N, weight, raw, rows, free.row_of),
+        ])
+        _check_exact_rows(R, free)  # the families are proven; fail loudly
+        if weight < weight_max:
+            keep = R[np.sort(_rref_mod(R, 2**31 - 1)[2])]
+            raw[weight] = np.zeros((len(A) + len(keep), A.shape[1]), dtype=np.int64)
+            raw[weight][: len(A)], raw[weight][len(A) :, on] = A, keep
+        return R
+
     reports = []
     for weight, pclass, gens in plan:
         table = shared[pclass].subtable(gens)
@@ -676,12 +755,14 @@ def dimension_table(
             A[i, [table.row_of[g] for g in row]] = [int(c) for c in row.values()]
         _check_exact_rows(A, table)  # the family is proven; fail loudly
         pivots = {next(iter(row)) for row in rows}
-        free = table.subtable([g for g in gens if g not in pivots])
-        proven = lambda: linear_shuffle_rows(N, weight, rows, free.row_of)
+        on = [h for h, g in enumerate(gens) if g not in pivots]
+        free = table.subtable([gens[h] for h in on])
+        levels[weight] = rows, A, free, on
+        these = lambda: proven(weight)
         if cache is None:
-            found = _discover(free, split, config.height_bound, proven)
+            found = _discover(free, split, config.height_bound, these)
         else:
-            found = cache.discover(free, split, config, proven)
+            found = cache.discover(free, split, config, these)
         b_cert = found.b_cert
         uncertified = b_cert is not None and b_cert < config.height_bound
         under = under or found.held_out_failures > 0 or uncertified

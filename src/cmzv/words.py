@@ -342,17 +342,18 @@ def _block_bracket(level, x, y):
     return (x[0] + y[0], (x[1] + y[1]) % level)
 
 
-def _product_table(level, u, v, bracket):
+def _product_table(level, u, v, bracket, memo=_PRODUCT_CACHE):
     """Quasi-shuffle of two tuples (of blocks or letters); {tuple: int}.
 
     Bottom-up over suffix pairs, table[i][j] = u[i:] * v[j:]: the head of u,
-    then the head of v, then their bracket (none when bracket is None), each
-    followed by the product of what is left.
+    then the head of v, then their bracket (none when bracket is None or
+    returns None), each followed by the product of what is left.  Results
+    are kept in memo, the module's cache unless a caller passes its own.
     """
     if u > v:
         u, v = v, u
     key = (level, u, v, bracket)
-    hit = _PRODUCT_CACHE.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     nu, nv = len(u), len(v)
@@ -363,14 +364,14 @@ def _product_table(level, u, v, bracket):
                 table[i][j] = {u[i:] + v[j:]: 1}
                 continue
             heads = [(u[i], table[i + 1][j]), (v[j], table[i][j + 1])]
-            if bracket is not None:
-                heads.append((bracket(level, u[i], v[j]), table[i + 1][j + 1]))
+            if bracket is not None and (head := bracket(level, u[i], v[j])) is not None:
+                heads.append((head, table[i + 1][j + 1]))
             out: dict = {}
             for head, tails in heads:
                 for tail, c in tails.items():
                     _madd(out, (head,) + tail, c)
             table[i][j] = out
-    _PRODUCT_CACHE[key] = table[0][0]
+    memo[key] = table[0][0]
     return table[0][0]
 
 

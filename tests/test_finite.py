@@ -366,10 +366,18 @@ def test_residue_table_cache_rejects_stale_modulus(tmp_path):
     assert table.residue(gens[0], 7) == good
 
 
-def test_residue_table_disabled_cache(tmp_path):
+def test_residue_table_disabled_cache(tmp_path, monkeypatch):
+    # no cache is read, written or even keyed: cache keys and heads go unbuilt
+    def unused(*args):
+        raise AssertionError("cache work without a cache")
+
+    for name in ("_read_cache", "_generator_key", "_head", "_store_cache"):
+        monkeypatch.setattr(finite, name, unused)
     gens = [Index((1,), (2,), 3)]
-    build_residue_table(gens, _small_class(), use_cache=False, cache_dir=str(tmp_path))
+    pc = _small_class()
+    table = build_residue_table(gens, pc, use_cache=False, cache_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+    assert all(table.residue(gens[0], p) == finite_residue(gens[0], p) for p in table.primes)
 
 
 def test_residue_table_parallel_matches_serial(tmp_path):

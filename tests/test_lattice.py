@@ -146,3 +146,56 @@ def test_int_lattice_validates():
         with pytest.raises(ValueError):
             lll_reduce(ragged)
     assert IntLattice(((1, 2), (3, 4))).rank == 2
+
+
+# ---- exact echelon forms ----
+
+
+def _echelon_reference(rows, width):
+    """The reduced echelon basis over Q, pivots on the latest columns, by
+    Fraction elimination, in echelon_basis's form: each row cut after its
+    pivot, primitive, its pivot negative, shortest first."""
+    A = [[Fraction(c) for c in row] for row in rows]
+    basis = []
+    for col in range(width - 1, -1, -1):
+        at = next((row for row in A if row[col]), None)
+        if at is None:
+            continue
+        A.remove(at)
+        at = [c / at[col] for c in at]
+        A = [[a - row[col] * b for a, b in zip(row, at)] for row in A]
+        basis = [[a - row[col] * b for a, b in zip(row, at)] for row in basis] + [at]
+    out = []
+    for row in basis:
+        piv = max(h for h, c in enumerate(row) if c)
+        den = math.lcm(*(c.denominator for c in row[: piv + 1]))
+        ints = [int(c * den) for c in row[: piv + 1]]
+        g = math.gcd(*ints)
+        out.append([-c // g for c in ints])
+    return sorted(out, key=len)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_echelon_basis_of_dependent_rows_matches_fractions(width, rank, data):
+    import numpy as np
+
+    from cmzv.lattice import echelon_basis
+
+    ints = st.integers(-6, 6)
+    base = data.draw(st.lists(st.lists(ints, min_size=width, max_size=width), min_size=rank, max_size=rank))
+    mix = data.draw(st.lists(st.lists(ints, min_size=rank, max_size=rank), min_size=1, max_size=8))
+    rows = [[sum(m * b[h] for m, b in zip(coeffs, base)) for h in range(width)] for coeffs in mix]
+    R = np.array(rows + base, dtype=np.int64)
+    assert echelon_basis(R) == _echelon_reference(R.tolist(), width)
+
+
+def test_echelon_basis_recovers_from_a_first_prime_that_loses_rank():
+    # modulo its first prime, 2^31 - 1, the second row vanishes: the rows
+    # that prime finds independent span only the first, and every row must
+    # be taken again
+    import numpy as np
+
+    from cmzv.lattice import echelon_basis
+
+    R = np.array([[1, 0], [0, 2**31 - 1], [3, 2**31 - 1]], dtype=np.int64)
+    assert echelon_basis(R) == [[-1], [0, -1]]

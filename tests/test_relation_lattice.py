@@ -31,7 +31,9 @@ def _certified(reports, height_bound=1000):
 def test_level_two_to_weight_five_is_certified_motivic():
     reports = dimension_table(2, 1, 5, NO_CACHE)
     assert _certified(reports) == [(r.mt_dim, True, False) for r in reports]
-    assert reports[-1].dim_estimate == 5 and reports[-1].lll_extra_relations == 31
+    # the linear-shuffle and product rows leave the lattice nothing to find
+    assert reports[-1].dim_estimate == 5
+    assert (reports[-1].exact_relation_rank, reports[-1].lll_extra_relations) == (157, 0)
 
 
 def test_level_four_to_weight_four_is_certified_motivic():

@@ -10,7 +10,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 
-from cmzv import finite, relations
+from cmzv import finite, relations, words
 
 import numpy as np
 import pytest
@@ -218,6 +218,83 @@ def test_linear_shuffle_rows_on_the_reversal_free_generators():
     assert {tuple(r) for r in got.tolist()} == want and len(got) == len(want)
 
 
+# ---- the product family ----
+
+
+def _truncated(blocks, stop, N):
+    """The sum over stop > m_1 > ... > m_r >= 1, m_j = f_j (mod N), of
+    prod m_j^-k_j for the blocks (k_j, f_j), exactly, term by term."""
+    total = Fraction(0)
+    for ms in itertools.combinations(range(stop - 1, 0, -1), len(blocks)):
+        if all(m % N == f for m, (_, f) in zip(ms, blocks)):
+            total += Fraction(1, math.prod(m**k for m, (k, _) in zip(ms, blocks)))
+    return total
+
+
+@st.composite
+def _blocks_and_letter(draw):
+    N = draw(st.integers(1, 3))
+    block = st.tuples(st.integers(1, 3), st.integers(0, N - 1))
+    return N, tuple(draw(st.lists(block, max_size=3))), draw(block), draw(st.integers(1, 13))
+
+
+@given(_blocks_and_letter())
+def test_truncated_sums_multiply_by_the_class_quasi_shuffle(case):
+    # S(u) S((k; f)) = sum over u * (k; f) of S(w): the letter at every
+    # position, and merged with each block of its own class
+    N, u, letter, stop = case
+    product = words._product_table(N, u, (letter,), relations._class_bracket, {})
+    assert _truncated(u, stop, N) * _truncated((letter,), stop, N) == sum(
+        c * _truncated(w, stop, N) for w, c in product.items()
+    )
+
+
+def test_the_class_bracket_merges_within_a_class_only():
+    product = words._product_table(3, ((1, 0), (2, 1)), ((1, 1),), relations._class_bracket, {})
+    assert product == {
+        ((1, 1), (1, 0), (2, 1)): 1,
+        ((1, 0), (1, 1), (2, 1)): 1,
+        ((1, 0), (2, 1), (1, 1)): 1,
+        ((1, 0), (3, 1)): 1,
+    }
+
+
+@pytest.mark.parametrize("N, alpha", [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)])
+def test_product_rows_vanish_at_every_prime_of_their_class(N, alpha, monkeypatch):
+    seen = []
+    real = relations.product_rows
+
+    def product_rows(N, weight, raw, reversal, free):
+        seen.append((weight, free, rows := real(N, weight, raw, reversal, free)))
+        return rows
+
+    monkeypatch.setattr(relations, "product_rows", product_rows)
+    dimension_table(N, alpha, 4, FAST)
+    assert [weight for weight, _, _ in seen] == [1, 2, 3, 4]
+    pclass = primes_in_class(N, alpha, 12, floor=50)
+    assert sum(len(rows) for _, _, rows in seen)  # the family is not empty
+    for weight, free, rows in seen:
+        table = finite.build_residue_table(list(free), pclass, use_cache=False)
+        assert not (rows @ table.int_matrix() % table.primes).any(), (N, alpha, weight)
+    # the products were memoised for the call alone
+    assert not any(key[3] is relations._class_bracket for key in words._PRODUCT_CACHE)
+
+
+def test_products_leave_the_lattice_only_the_motivic_count():
+    # G' = generators - exact_relation_rank, the columns of the lattice
+    config = DimConfig(use_cache=False)
+    for (N, wmax), g_free, dims in (((3, 4), [1, 2, 5, 8], [1, 2, 4, 8]),
+                                    ((2, 5), [1, 1, 2, 3, 5], [1, 1, 2, 3, 5])):
+        reports = dimension_table(N, 1, wmax, config)
+        assert [r.generator_count - r.exact_relation_rank for r in reports] == g_free
+        assert [r.dim_estimate for r in reports] == dims
+        assert not any(r.under_determined for r in reports)
+        for r in reports:
+            sources = [cand.source for cand in r.relations]
+            assert sources == sorted(sources, key=["reversal", "double_shuffle", "lll_discovered"].index)
+            assert sources.count("lll_discovered") == r.lll_extra_relations
+
+
 # ---- per-prime identity checks ----
 
 
@@ -403,26 +480,43 @@ def _counting_lll(monkeypatch):
 @pytest.mark.parametrize("N, alpha, wmax", [(3, 1, 4), (3, 2, 4), (2, 1, 5)])
 def test_relation_cache_cold_warm_and_off_agree(N, alpha, wmax, tmp_path, monkeypatch):
     calls = _counting_lll(monkeypatch)
-    built = []
-    real_rows = relations.linear_shuffle_rows
+    built, products = [], []
+    real_rows, real_products = relations.linear_shuffle_rows, relations.product_rows
     monkeypatch.setattr(relations, "linear_shuffle_rows", lambda *a: built.append(1) or real_rows(*a))
+    monkeypatch.setattr(relations, "product_rows", lambda *a: products.append(1) or real_products(*a))
     config = DimConfig(prime_floor=50, cache_dir=str(tmp_path))
     cold = dimension_table(N, alpha, wmax, config)
     assert calls
     path = tmp_path / f"relations_N{N}_a{alpha}.jsonl"
     written = path.stat()
-    assert built
+    assert built and products
     calls.clear()
     built.clear()
+    products.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warm = dimension_table(N, alpha, wmax, config)
     assert not calls  # no lattice is reduced on a warm cache
     assert not built  # and no linear-shuffle row is built: the record holds them
+    assert not products  # nor any product row, of any weight
     assert (path.stat().st_ino, path.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
     off = dimension_table(N, alpha, wmax, replace(config, use_cache=False))
     assert warm == cold == off
     assert [r.b_cert for r in warm] == [r.b_cert for r in cold] == [r.b_cert for r in off]
+
+
+def test_a_weight_past_the_cache_rebuilds_the_raw_rows_without_a_lattice(tmp_path, monkeypatch):
+    # weights 1-3 come from their records; weight 4 needs their raw rows,
+    # which are built again and checked, but only weight 4 gets a lattice
+    config = DimConfig(prime_floor=50, cache_dir=str(tmp_path))
+    dimension_table(3, 1, 3, config)
+    lattices, products = [], []
+    real_lattice, real_products = relations.discover_relations_lll, relations.product_rows
+    monkeypatch.setattr(relations, "discover_relations_lll", lambda *a: lattices.append(1) or real_lattice(*a))
+    monkeypatch.setattr(relations, "product_rows", lambda *a: products.append(a[1]) or real_products(*a))
+    got = dimension_table(3, 1, 4, config)
+    assert len(lattices) == 1 and products == [1, 2, 3, 4]
+    assert got == dimension_table(3, 1, 4, replace(config, use_cache=False))
 
 
 SMALL = DimConfig(train_primes=8, verify_primes=4, prime_floor=50)
@@ -443,16 +537,20 @@ def _summed(rows):  # still relations, but the pivot of row 0 shows in row 1
 
 @pytest.mark.parametrize("tamper", [_off_by_one, _swapped, _summed])
 def test_tampered_relation_record_is_recomputed(tamper, tmp_path, monkeypatch):
+    # the proven rows leave at most one lattice row a weight at N=3 w <= 3;
+    # N=4 w <= 3 has records with 3 and 10, which _swapped and _summed need
     config = replace(SMALL, cache_dir=str(tmp_path))
-    cold = dimension_table(3, 1, 3, config)
-    path = tmp_path / "relations_N3_a1.jsonl"
+    cold = dimension_table(4, 1, 3, config)
+    path = tmp_path / "relations_N4_a1.jsonl"
     written = path.read_bytes()
     records = [json.loads(line) for line in written.decode().splitlines()]
-    tamper(max((rec["rows"] for rec in records), key=len))
+    rows = max((rec["rows"] for rec in records), key=len)
+    assert len(rows) >= 2
+    tamper(rows)
     path.write_text("".join(map(finite._dump, records)))
     calls = _counting_lll(monkeypatch)
     with pytest.warns(UserWarning, match=re.escape(str(path))):
-        again = dimension_table(3, 1, 3, config)
+        again = dimension_table(4, 1, 3, config)
     assert calls and again == cold
     assert path.read_bytes() == written
 
@@ -488,17 +586,17 @@ def test_relation_cache_misses_on_a_changed_key(change, tmp_path, monkeypatch):
 
 
 def test_relation_cache_misses_on_a_changed_residue(tmp_path, monkeypatch):
-    # k=2;f=2 is its own reversal at even weight at N=3, alpha=1, and no
-    # linear-shuffle row of weight 2 holds it, so a changed residue reaches
-    # the lattice; use_cache=False would recompute the residue, so the
-    # reference is a lattice on the same cache
+    # every generator lies in a proven row, so a single changed residue
+    # fails loudly; twice the whole column at p = 61 still satisfies every
+    # relation, but changes the residues the record is keyed on, so the
+    # lattice runs again.  use_cache=False would recompute the residues, so
+    # the reference is a lattice on the same cache
     config = replace(SMALL, cache_dir=str(tmp_path))
     dimension_table(3, 1, 2, config)
     residues = tmp_path / "residues_N3_a1.jsonl"
     columns = [json.loads(line) for line in residues.read_text().splitlines()]
     (col,) = [col for col in columns if col["p"] == 61]
-    residue = col["residues"]["k=2;f=2"]
-    residue[0] = (residue[0] + 1) % 61
+    col["residues"] = {ix: [2 * c % 61 for c in cell] for ix, cell in col["residues"].items()}
     residues.write_text("".join(map(finite._dump, columns)))
     calls = _counting_lll(monkeypatch)
     with warnings.catch_warnings():

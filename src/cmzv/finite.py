@@ -115,17 +115,18 @@ def parse_congruence_index(text: str, level: int) -> CongruenceIndex:
 # ---- per-prime residues ---------------------------------------------------------
 
 
-def _inverse_powers(p: int, kmax: int) -> np.ndarray:
-    """Row k - 1 holds n^-k mod p for n = 1..p-1 as int64, for k = 1..kmax.
+def _inverse_powers(p: int, kmax: int, length: int) -> np.ndarray:
+    """Row k - 1 holds n^-k mod p for n = 1..p-1 as int64, then zeros up to
+    n = length, for k = 1..kmax.
 
     Products of two residues fit in int64 only for p < 2^31, the bound of
     nested_sum; inverse_table raises above it, before any array is made.
     """
     inverse = inverse_table(p)
-    powers = np.empty((kmax, p - 1), dtype=np.int64)
-    powers[0] = inverse
+    powers = np.zeros((kmax, length), dtype=np.int64)
+    powers[0, : p - 1] = inverse
     for k in range(1, kmax):
-        np.remainder(powers[k - 1] * powers[0], p, out=powers[k])
+        np.remainder(powers[k - 1, : p - 1] * inverse, p, out=powers[k, : p - 1])
     return powers
 
 
@@ -221,12 +222,19 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
     without ctx (congruence generators only) d = 1.  The n^-k rows are built
     once.  Each trie takes one int64 pass of nested_sum per level, one row
     per node: its outer slot's terms times its suffix's row, prefix-summed,
-    so the last entry is the node's sum.  A congruence slot's terms are the
-    mask n = f (mod N) times n^-k, each such product built once.  Colored
-    rows live in F_p[Z/N], (W, N, p-1) arrays with coordinate t the
-    coefficient of zeta^t, and the suffix's row is first moved by
-    zeta^(e n); a generator's N sums map into F_(p^d) through the powers of
-    zeta in ctx, whatever d is.  Levels of more than _CELLS entries run as
+    so the last entry is the node's sum.  A congruence node of class f sums
+    over its class alone, n = f' + N i for i < T = ceil((p-1)/N), f' = f or
+    N for f = 0: its terms are column f' - 1 of the n^-k rows zero-padded to
+    n = N T and laid out as (T, N).  Its row starts from a zero carry, so
+    term i pairs with entry i - 1 + c of its suffix's class-g prefix sums,
+    c = 1 when g' < f' (the suffix's n comes first in a block of N), the
+    shift nested_sum takes beside rows.  Every level keeps all T entries,
+    since a generator deeper than T can have a nonzero sum (n = 6 > 5 > 4
+    at N = 3, p = 7, T = 2).  Colored rows live in F_p[Z/N], (W, N, p-1)
+    arrays with coordinate t the coefficient of zeta^t, and the suffix's
+    row is first moved by zeta^(e n); a generator's N sums map into F_(p^d)
+    through the powers of zeta in ctx, whatever d is.  Levels of more than
+    _CELLS entries (N p a colored node, T a congruence one) run as
     sub-tries of runs of generators.
     """
     slots = gens if isinstance(gens, _Slots) else _Slots(gens)
@@ -235,13 +243,15 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
     if not slots.tries:
         return out
     N, kmax = slots.level, slots.kmax
-    powers, n = _inverse_powers(p, kmax), np.arange(1, p)
-    masks = (n % N == np.arange(N)[:, None]).astype(np.int64)  # row f: the mask n = f (mod N)
-    terms = masks[slots.used // kmax] * powers[slots.used % kmax]
+    T = -(-(p - 1) // N)  # the terms of one class
+    grid = _inverse_powers(p, kmax, N * T)
+    cls = (slots.used // kmax - 1) % N  # f' - 1 of each congruence slot
+    terms = grid.reshape(kmax, T, N)[slots.used % kmax, :, cls]  # row j: slot j on its class
+    powers, n = grid[:, : p - 1], np.arange(1, p)
     phase = np.arange(N)[:, None] * n % N  # row e: e n mod N
     for colored, trie in slots.tries.items():
         sums = np.zeros((trie.offsets[-1], N) if colored else trie.offsets[-1], dtype=np.int64)
-        for part in trie.parts(max(1, _CELLS // ((N if colored else 1) * p))):
+        for part in trie.parts(max(1, _CELLS // (N * p) if colored else _CELLS // T)):
             part = part[: p - 1]  # a node of depth >= p has no term
 
             def column(j):
@@ -249,12 +259,16 @@ def _residues(gens, p: int, ctx: FqContext | None = None) -> np.ndarray:
                 slot, up = trie.nodes[d][part[d]].T
                 rows = up - part[d - 1].start if d else None
                 if not colored:
-                    return (terms[slot], None, rows) if d else terms[slot]
+                    if not d:
+                        return terms[slot]
+                    shift = (cls[trie.nodes[d - 1][up, 0]] < cls[slot]).astype(np.int64)
+                    return terms[slot], None, rows, shift
                 gather = (np.arange(N)[:, None] - phase[slot // kmax, None]) % N  # t takes t - e n
                 w = powers[slot % kmax, None]
                 return (w, gather, rows) if d else w * (gather == 0)
 
-            for d, level in enumerate(nested_sum(len(part), column, p, levels=True)):
+            zero = None if colored else [0] * len(part)
+            for d, level in enumerate(nested_sum(len(part), column, p, levels=True, carry=zero)):
                 sums[trie.offsets[d] + part[d].start : trie.offsets[d] + part[d].stop] = level
         if not colored:
             out[trie.at, 0] = sums[trie.node]

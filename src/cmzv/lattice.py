@@ -202,7 +202,7 @@ def _rref_mod(R, q):
     return pivots, A[: len(pivots)], origin[: len(pivots)]
 
 
-def echelon_basis(R) -> list[list[int]]:
+def echelon_basis(R, first=None) -> list[list[int]]:
     """The reduced echelon basis over Q of the row span of R, pivots on the
     latest columns, as primitive integer rows with a negative pivot.
 
@@ -213,12 +213,16 @@ def echelon_basis(R) -> list[list[int]]:
     is known, and cannot span R while it is the best.  The primes after the
     first reduce only the rows S of R that it found independent; should
     that prime have lost rank, S fails to span R where its own form spans
-    S, and every row is taken again.
+    S, and every row is taken again.  The first prime is 2^31 - 1; a caller
+    that has _rref_mod(R, 2**31 - 1) already passes it as first.
     """
     best, M, q, S = None, 1, 2**31 + 1, R
     while len(R):
         q -= 2
-        got = _rref_mod(S, q) if is_prime(q) else None
+        if first is not None:  # the first prime's form, made by the caller
+            got, first = first, None
+        else:
+            got = _rref_mod(S, q) if is_prime(q) else None
         if got is None or (best and got[0] < best):  # rank lost mod q moves pivots earlier
             continue
         pivots, A, origin = got

@@ -465,9 +465,10 @@ def discover_relations_lll(
 
 def _discover(table: ResidueTable, split, height_bound: int, proven_rows) -> Discovery:
     """The proven rows on the generators of table, from proven_rows(), which
-    checks them at every prime, put in echelon form, then
-    discover_relations_lll on the generators left without a pivot."""
-    proven = echelon_basis(proven_rows())
+    checks them at every prime and returns them with their _rref_mod at
+    2^31 - 1, put in echelon form, then discover_relations_lll on the
+    generators left without a pivot."""
+    proven = echelon_basis(*proven_rows())
     pivots = {len(row) - 1 for row in proven}
     rest = table.subtable([g for h, g in enumerate(table.generators) if h not in pivots])
     found = discover_relations_lll(rest, height_bound, split)
@@ -717,11 +718,11 @@ def dimension_table(
 
     def proven(weight):
         """The linear-shuffle and product rows of weight on its free
-        generators, checked at every prime.  Below weight_max, those of
-        them that are independent mod 2^31 - 1, and span the rest there,
-        join the reversal rows in raw[weight]: rows that vanish at every
-        prime, never their echelon form, which can divide by a prime of the
-        class."""
+        generators, checked at every prime, and their _rref_mod at 2^31 - 1,
+        the first prime of echelon_basis.  Below weight_max, those of them
+        that are independent there, and span the rest there, join the
+        reversal rows in raw[weight]: rows that vanish at every prime, never
+        their echelon form, which can divide by a prime of the class."""
         rows, A, free, on = levels[weight]
         for a in range(1, weight):
             if a not in raw:
@@ -731,11 +732,12 @@ def dimension_table(
             product_rows(N, weight, raw, rows, free.row_of),
         ])
         _check_exact_rows(R, free)  # the families are proven; fail loudly
+        first = _rref_mod(R, 2**31 - 1)
         if weight < weight_max:
-            keep = R[np.sort(_rref_mod(R, 2**31 - 1)[2])]
+            keep = R[np.sort(first[2])]
             raw[weight] = np.zeros((len(A) + len(keep), A.shape[1]), dtype=np.int64)
             raw[weight][: len(A)], raw[weight][len(A) :, on] = A, keep
-        return R
+        return R, first
 
     reports = []
     for weight, pclass, gens in plan:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 E_ZERO = -1  # the letter e_0; root letters are exponents in [0, N)
 
@@ -163,17 +164,22 @@ def nested_sum(depth: int, column, p: int | None = None, levels: bool = False, c
     product of two residues stays below p^2 < 2^62, and a prefix sum of
     fewer than 2^32 residues below 2^63.
 
-    A slot but the innermost may return (terms, gather) or (terms, gather,
-    rows), gather possibly None.  With rows, row i of the slot continues row
-    rows[i] of the inner prefix sums, so slot j may have more or fewer rows
-    than slot j + 1 (a suffix trie: one row per distinct suffix).  With
-    gather, the inner prefix at n - 1 is then permuted along its
+    A slot but the innermost may return (terms, gather), (terms, gather,
+    rows) or (terms, gather, rows, shift), gather possibly None.  With rows,
+    row i of the slot continues row rows[i] of the inner prefix sums, so
+    slot j may have more or fewer rows than slot j + 1 (a suffix trie: one
+    row per distinct suffix).  With shift, a 0/1 array beside rows, row i
+    pairs each term with the inner prefix entry shift[i] places later: a
+    caller that lays each row out on a grid of its own (one residue class
+    of n, say, with a zero carry) so picks the inner entry below each n.
+    With gather, the inner prefix at n - 1 is then permuted along its
     second-to-last axis, entry t taking entry gather[..., t, n - 1]
     (zeta^(e n) acting on F_p[Z/N]).  With levels, the result is the list of
     the sums of every slot, innermost first: slot j's row sums are those of
     the tails j.. of the series.
 
-    Needs 1 <= depth <= stop; callers return their own typed 1 or 0 outside.
+    Needs 1 <= depth, and depth <= stop unless carry is given; callers
+    return their own typed 1 or 0 outside.
     """
     if p is not None and p >= 2**31:
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
@@ -181,16 +187,20 @@ def nested_sum(depth: int, column, p: int | None = None, levels: bool = False, c
         raise ValueError("depth must be positive")
     S, sums = None, []  # S[..., i] = sum over slots j.. with n_j <= stop - S.shape[-1] + 1 + i
     for j in range(depth - 1, -1, -1):
-        terms, gather, rows = column(j), None, None
+        terms, gather, rows, shift = column(j), None, None, None
         if type(terms) is tuple:
-            terms, gather, rows = (*terms, None)[:3]
+            terms, gather, rows, shift = (*terms, None, None)[:4]
         stop = terms.shape[-1]
         if S is not None:
             # slot j at n pairs with the inner prefix sum at n - 1; S and
             # inner are dropped once copied, so one of each is alive at a time
-            start, inner, S = stop - S.shape[-1] + 1, S[..., :-1], None
-            if rows is not None:
+            start, inner = stop - S.shape[-1] + 1, S[..., :-1]
+            if shift is not None:  # row i takes window shift[i] of S[..., :-1] and S[..., 1:]
+                two = (*inner.shape[:-1], 2, inner.shape[-1]), S.strides + S.strides[-1:]
+                inner = as_strided(S, *two)[rows, ..., shift, :]
+            elif rows is not None:
                 inner = inner[rows]
+            S = None
             if gather is not None:
                 inner = np.take_along_axis(inner, gather[..., start:], axis=-2)
             terms = terms[..., start:] * inner

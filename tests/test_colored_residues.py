@@ -154,10 +154,13 @@ def test_mixed_batch_of_colored_and_congruence_generators():
 
 
 def test_colored_pass_in_small_parts_gives_the_same_sums(monkeypatch):
-    N, p = 5, 17  # d = 4
+    N, p = 5, 17  # d = 4, and 4 terms a class
     ctx = make_fq_context(p, N)
     gens = [Index(ks, es, N) for ks, es in (((1, 2), (1, 4)), ((2, 1), (3, 0)), ((1, 1), (2, 2)))]
+    deep = CongruenceIndex((2, 1, 1, 1, 1, 1, 1), (0, 4, 3, 2, 1, 0, 4), N)  # 7 slots on 4 terms
+    gens += [CongruenceIndex((1, 2), (1, 4), N), CongruenceIndex((2, 1), (0, 0), N), deep]
     whole = finite._residues(gens, p, ctx)
+    assert whole[-1, 0] == congruence_residue_int(deep, p) != 0
     monkeypatch.setattr(finite, "_CELLS", 1)  # one generator per pass
     assert (finite._residues(gens, p, ctx) == whole).all()
 
@@ -291,7 +294,7 @@ def test_trie_matches_each_generator_alone(data):
     assert sum(sum(trie.widths) for trie in slots.tries.values()) == len(suffixes)
     cells = data.draw(st.sampled_from([1, 64, 1 << 20]))  # one node a level, sub-tries, one trie
     for colored, trie in slots.tries.items():
-        width = max(1, cells // ((N if colored else 1) * p))
+        width = max(1, cells // (N * p) if colored else cells // -(-(p - 1) // N))
         assert all(s.stop - s.start <= width for part in trie.parts(width) for s in part)
     with mock.patch.object(finite, "_CELLS", cells):
         got = finite._residues(slots, p, ctx)

@@ -251,12 +251,12 @@ def test_congruence_reversal_identity():
             assert lhs == rhs
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)  # the profile's examples: 400 in the thorough CI step
 @given(st.data())
 def test_batched_column_matches_enumeration(data):
     # one per-prime call over mixed depths, exponents, classes and colors
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    N = data.draw(st.sampled_from([n for n in (1, 2, 3, 4) if n % p]))
+    N = data.draw(st.sampled_from([n for n in range(1, 7) if n % p]))  # N = 6 > p = 5 too
     ctx = make_fq_context(p, N)
     gens = []
     for _ in range(data.draw(st.integers(1, 8))):

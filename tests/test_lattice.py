@@ -179,14 +179,16 @@ def _echelon_reference(rows, width):
 def test_echelon_basis_of_dependent_rows_matches_fractions(width, rank, data):
     import numpy as np
 
-    from cmzv.lattice import echelon_basis
+    from cmzv.lattice import _rref_mod, echelon_basis
 
     ints = st.integers(-6, 6)
     base = data.draw(st.lists(st.lists(ints, min_size=width, max_size=width), min_size=rank, max_size=rank))
     mix = data.draw(st.lists(st.lists(ints, min_size=rank, max_size=rank), min_size=1, max_size=8))
     rows = [[sum(m * b[h] for m, b in zip(coeffs, base)) for h in range(width)] for coeffs in mix]
     R = np.array(rows + base, dtype=np.int64)
-    assert echelon_basis(R) == _echelon_reference(R.tolist(), width)
+    want = _echelon_reference(R.tolist(), width)
+    assert echelon_basis(R) == want
+    assert echelon_basis(R, _rref_mod(R, 2**31 - 1)) == want  # the first prime's form given
 
 
 def test_echelon_basis_recovers_from_a_first_prime_that_loses_rank():
@@ -195,7 +197,8 @@ def test_echelon_basis_recovers_from_a_first_prime_that_loses_rank():
     # be taken again
     import numpy as np
 
-    from cmzv.lattice import echelon_basis
+    from cmzv.lattice import _rref_mod, echelon_basis
 
     R = np.array([[1, 0], [0, 2**31 - 1], [3, 2**31 - 1]], dtype=np.int64)
     assert echelon_basis(R) == [[-1], [0, -1]]
+    assert echelon_basis(R, _rref_mod(R, 2**31 - 1)) == [[-1], [0, -1]]

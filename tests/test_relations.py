@@ -10,7 +10,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 
-from cmzv import finite, relations, words
+from cmzv import finite, lattice, relations, words
 
 import numpy as np
 import pytest
@@ -517,6 +517,17 @@ def test_a_weight_past_the_cache_rebuilds_the_raw_rows_without_a_lattice(tmp_pat
     got = dimension_table(3, 1, 4, config)
     assert len(lattices) == 1 and products == [1, 2, 3, 4]
     assert got == dimension_table(3, 1, 4, replace(config, use_cache=False))
+
+
+def test_each_weight_is_eliminated_once_at_the_first_prime(monkeypatch):
+    # the raw rows that products multiply and the echelon form of a weight
+    # share one elimination mod 2^31 - 1 (the lattice's own rows get theirs)
+    first, real = [], relations._rref_mod
+    spy = lambda R, q: (q == 2**31 - 1 and first.append(R)) or real(R, q)
+    monkeypatch.setattr(relations, "_rref_mod", spy)
+    monkeypatch.setattr(lattice, "_rref_mod", spy)
+    dimension_table(3, 1, 4, DimConfig(prime_floor=50, use_cache=False))
+    assert len(first) >= 4 and len(set(map(id, first))) == len(first)
 
 
 SMALL = DimConfig(train_primes=8, verify_primes=4, prime_floor=50)

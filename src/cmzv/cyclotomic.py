@@ -227,10 +227,11 @@ class CycNum:
 
     @classmethod
     def rational(cls, level: int, value) -> "CycNum":
-        q = Fraction(value)
+        # an exact int is its own numerator over 1; a bool goes through Fraction
+        num, den = (value, 1) if type(value) is int else Fraction(value).as_integer_ratio()
         v = [0] * _ctx(level).phi
-        v[0] = q.numerator
-        return cls(level, v, q.denominator)
+        v[0] = num
+        return cls(level, v, den, _normalized=den == 1)
 
     @classmethod
     def root_power(cls, level: int, a: int) -> "CycNum":

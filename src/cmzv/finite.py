@@ -16,6 +16,7 @@ import tempfile
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -96,11 +97,13 @@ class CongruenceIndex:
     def depth(self) -> int:
         return len(self.ks)
 
+    def reversed_fields(self, alpha: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (ks, fs) of reversed_class(alpha), without building it."""
+        return self.ks[::-1], tuple((alpha - f) % self.level for f in self.fs[::-1])
+
     def reversed_class(self, alpha: int) -> "CongruenceIndex":
         """The image under m_a -> p - m_(r+1-a), p = alpha mod level."""
-        return CongruenceIndex(
-            self.ks[::-1], tuple((alpha - f) % self.level for f in self.fs[::-1]), self.level
-        )
+        return CongruenceIndex(*self.reversed_fields(alpha), self.level)
 
 
 def format_congruence_index(cix: CongruenceIndex) -> str:
@@ -115,6 +118,16 @@ def parse_congruence_index(text: str, level: int) -> CongruenceIndex:
 # ---- per-prime residues ---------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _small_inverse_row(p: int) -> np.ndarray:
+    """inverse_table(p) for p < 2^16 as uint16, made once and read-only: a run
+    that sums many tables at the same few primes (`cmzv check`) inverts
+    each once, and 64 rows hold at most 8 MB."""
+    row = inverse_table(p).astype(np.uint16)
+    row.setflags(write=False)
+    return row
+
+
 def _inverse_powers(p: int, kmax: int, length: int) -> np.ndarray:
     """Row k - 1 holds n^-k mod p for n = 1..p-1 as int64, then zeros up to
     n = length, for k = 1..kmax.
@@ -122,7 +135,7 @@ def _inverse_powers(p: int, kmax: int, length: int) -> np.ndarray:
     Products of two residues fit in int64 only for p < 2^31, the bound of
     nested_sum; inverse_table raises above it, before any array is made.
     """
-    inverse = inverse_table(p)
+    inverse = _small_inverse_row(p) if p < 2**16 else inverse_table(p)
     powers = np.zeros((kmax, length), dtype=np.int64)
     powers[0, : p - 1] = inverse
     for k in range(1, kmax):
@@ -613,13 +626,17 @@ def build_residue_table(
         cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
         columns, rewrite = _read_cache(cache_file)
         keys = [_generator_key(g) for g in gens]
+        column = itemgetter(*keys) if keys else None  # every cell of a column at one call
         for p, j in col_of.items():
             residues = columns.get(_head(N, alpha, p, contexts[p]))
-            found = [residues.get(key) for key in keys] if residues else []
-            if found and None not in found:
-                values[:, j] = found
-            elif rows := [i for i, residue in enumerate(found) if residue is not None]:
-                values[rows, j] = [found[i] for i in rows]
+            if not residues or column is None:
+                continue
+            try:
+                values[:, j] = column(residues)  # one key gives its cell alone, which broadcasts
+            except KeyError:  # some cells missing: take the others one by one
+                found = [residues.get(key) for key in keys]
+                if rows := [i for i, residue in enumerate(found) if residue is not None]:
+                    values[rows, j] = [found[i] for i in rows]
 
     todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
     todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue

@@ -5,6 +5,13 @@ F_(p^d) with d the multiplicative order of p mod N.  A context fixes one
 degree-d irreducible factor of the N-th cyclotomic polynomial mod p (the
 canonical choice picks the factor x^d + ... whose root vector is smallest, so
 for d = 1 the smallest root wins) and the image of zeta_N modulo it.
+
+For d = 1 (p = 1 mod N) the factors are the x - r with r a primitive N-th
+root of unity mod p, so the canonical one is built in closed form: with g
+the first integer >= 2 whose (p-1)/q-th power is not 1 for any prime q | N,
+r = g^((p-1)/N) has order N, and the smallest primitive root is the least
+r^k over the k coprime to N.  Cantor-Zassenhaus splits the cyclotomic
+polynomial only for 1 < d < phi(N).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
+from .cyclotomic import CycNum, _prime_factors, cyclotomic_polynomial, euler_phi
 
 
 class BadPrimeError(ValueError):
@@ -299,6 +306,16 @@ def _order_mod(p: int, N: int) -> int:
     return d
 
 
+def _smallest_root_of_unity(p: int, N: int) -> int:
+    """The least primitive N-th root of unity mod p, for N | p - 1 and N > 1."""
+    qs = _prime_factors(N)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    r = pow(g, (p - 1) // N, p)  # of order N: r^(N/q) != 1 for every prime q | N
+    return min(pow(r, k, p) for k in range(1, N) if math.gcd(k, N) == 1)
+
+
 @lru_cache(maxsize=None)
 def make_fq_context(p: int, N: int, twist: int = 1) -> FqContext:
     """Build the canonical residue-field context for (p, N).
@@ -317,6 +334,9 @@ def make_fq_context(p: int, N: int, twist: int = 1) -> FqContext:
     d = _order_mod(p, N)
     if N == 1:
         return FqContext(p, 1, 1, ((-1) % p, 1), (1,))
+    if d == 1:  # the twist-th power of the smallest primitive N-th root
+        zeta = pow(_smallest_root_of_unity(p, N), twist % N, p)
+        return FqContext(p, N, 1, ((-zeta) % p, 1), (zeta,))
     phi_n = [c % p for c in cyclotomic_polynomial(N)]
     if d == euler_phi(N):
         factors = [phi_n]
@@ -326,18 +346,11 @@ def make_fq_context(p: int, N: int, twist: int = 1) -> FqContext:
     # canonical: smallest root vector, i.e. lexicographically smallest
     # tuple of negated coefficients read from the constant term upward
     factors.sort(key=lambda f: tuple((-c) % p for c in f[:-1]))
-    canonical = factors[0]
-    if d == 1:
-        zeta = ((-canonical[0]) % p,)
-    else:
-        zeta = tuple([0, 1] + [0] * (d - 2))
-    ctx = FqContext(p, N, d, tuple(canonical), zeta)
+    ctx = FqContext(p, N, d, tuple(factors[0]), tuple([0, 1] + [0] * (d - 2)))
     if twist % N == 1:
         return ctx
     # move to the factor annihilating zeta^twist
     zt = ctx.zeta_image ** (twist % N)
-    if d == 1:
-        return FqContext(p, N, 1, ((-zt.coeffs[0]) % p, 1), (zt.coeffs[0],))
     for f in factors:
         acc = ctx.zero()
         for c in reversed(f):

@@ -29,6 +29,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,20 +98,26 @@ def _compositions(total: int, parts: int):
 
 
 def enumerate_generators(N: int, weight: int, model: str = "congruence") -> list:
-    """All depth/exponent/color choices of the given weight, deterministic order."""
+    """All depth/exponent/color choices of the given weight, deterministic
+    order, as a new list on every call."""
+    return list(_generators(N, weight, model))
+
+
+@lru_cache(maxsize=64)
+def _generators(N: int, weight: int, model: str) -> tuple:
+    """The generators of enumerate_generators, made once per (N, weight, model):
+    they are frozen, so calls share them."""
     if weight < 1:
         raise ValueError("weight must be positive")
     if model not in ("colored", "congruence"):
         raise ValueError(f"unknown model {model!r}")
-    out = []
-    for r in range(1, weight + 1):
-        for ks in _compositions(weight, r):
-            for cs in itertools.product(range(N), repeat=r):
-                if model == "colored":
-                    out.append(Index(ks, cs, N))
-                else:
-                    out.append(CongruenceIndex(ks, cs, N))
-    return out
+    make = Index if model == "colored" else CongruenceIndex
+    return tuple(
+        make(ks, cs, N)
+        for r in range(1, weight + 1)
+        for ks in _compositions(weight, r)
+        for cs in itertools.product(range(N), repeat=r)
+    )
 
 
 # ---- exact relation families -------------------------------------------------------
@@ -126,14 +133,14 @@ def reversal_relations_congruence(N: int, weight: int, alpha: int) -> list[dict]
     at even weight.
     """
     gens = enumerate_generators(N, weight, "congruence")
-    order = {g: i for i, g in enumerate(gens)}
+    order = {(g.ks, g.fs): i for i, g in enumerate(gens)}  # g' is looked up, not built
     sign = Fraction(-1 if weight % 2 else 1)
     rows = []
-    for g in gens:
-        rev = g.reversed_class(alpha)
-        if order[rev] > order[g]:
-            rows.append({g: Fraction(1), rev: -sign})
-        elif rev == g and weight % 2:
+    for i, g in enumerate(gens):
+        j = order[g.reversed_fields(alpha)]
+        if j > i:
+            rows.append({g: Fraction(1), gens[j]: -sign})
+        elif j == i and weight % 2:
             rows.append({g: Fraction(1)})
     return rows
 
@@ -502,7 +509,8 @@ def _echelon_rows(rows, matrix, primes) -> bool:
     """True when rows are primitive integer rows in reduced echelon form on
     the rows of matrix, each with its negative pivot last, pivots rising,
     and each vanishes at every prime, column j of matrix holding the
-    residues at primes[j]."""
+    residues at primes[j]: one product A @ matrix over all primes, in int64
+    where max|A| G max(p) < 2^62 bounds its entries, else in Python ints."""
     G = len(matrix)
     if not (type(rows) is list and all(
         type(r) is list and 0 < len(r) <= G and all(type(c) is int for c in r) for r in rows
@@ -511,14 +519,15 @@ def _echelon_rows(rows, matrix, primes) -> bool:
     pivots = [len(r) - 1 for r in rows]
     if pivots != sorted(set(pivots)) or any(r[-1] >= 0 or math.gcd(*r) != 1 for r in rows):
         return False
-    big = max((abs(c) for r in rows for c in r), default=0) >= 2**62
-    A = np.zeros((len(rows), G), dtype=object if big else np.int64)
+    top = max((abs(c) for r in rows for c in r), default=0)
+    kind = np.int64 if top * G * max(primes, default=0) < 2**62 else object
+    A = np.zeros((len(rows), G), dtype=kind)
     for i, r in enumerate(rows):
         A[i, : len(r)] = r
     at_pivots = A[:, pivots]  # each pivot column holds its own pivot alone
-    return not (at_pivots != np.diag(np.diag(at_pivots))).any() and not any(
-        _dot_mod(A, matrix[:, j], p).any() for j, p in enumerate(primes)
-    )
+    return not (at_pivots != np.diag(np.diag(at_pivots))).any() and not (
+        A @ matrix.astype(kind, copy=False) % np.array(primes, dtype=kind)
+    ).any()
 
 
 def _checked_discovery(rec: dict, gens, matrix, primes) -> Discovery | None:

@@ -256,3 +256,25 @@ def test_program_written_lines_are_read_once_and_kept(tmp_path, monkeypatch, tab
         assert np.array_equal(warm.values, cold.values)
     assert len(decoded) == len(built) * 36
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("alpha", sorted(CLASSES))
+def test_whole_columns_and_columns_with_a_cell_missing(tmp_path, monkeypatch, alpha):
+    # a whole column is taken at one lookup, also for a table of one
+    # generator, whose lookup gives the cell alone; a column with a cell
+    # missing takes its other cells and computes that one
+    pclass = CLASSES[alpha]
+    cold = build_residue_table(GENS, pclass, cache_dir=str(tmp_path))
+    for gens in (GENS, GENS[1:2]):
+        warm = build_residue_table(gens, pclass, cache_dir=str(tmp_path))
+        assert np.array_equal(warm.values, cold.subtable(gens).values)
+    path = tmp_path / f"residues_N3_a{alpha}.jsonl"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    del lines[0]["residues"][KEYS[1]]
+    path.write_text("".join(map(finite._dump, lines)))
+    computed = []
+    real = finite._compute_column
+    monkeypatch.setattr(finite, "_compute_column", lambda a: computed.append((*a[:3], a[4].size)) or real(a))
+    again = build_residue_table(GENS, pclass, cache_dir=str(tmp_path))
+    assert np.array_equal(again.values, cold.values)
+    assert computed == [(3, alpha, lines[0]["p"], 1)]  # one prime, one generator

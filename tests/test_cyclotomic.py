@@ -245,3 +245,19 @@ def test_hash_consistency():
     assert hash(w) == hash(i)
     d = {w: "x"}
     assert d[i] == "x"
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1, 2**70])
+def test_rational_of_an_int_equals_that_of_its_fraction(n):
+    for level in (1, 3, 12):
+        a, b = CycNum.rational(level, n), CycNum.rational(level, Fraction(n))
+        assert (a.nums, a.den) == (b.nums, b.den)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_rational_of_a_bool_goes_through_fraction():
+    # the int fast path would keep True itself as the numerator
+    for value, want in ((True, 1), (False, 0)):
+        a = CycNum.rational(3, value)
+        assert a == CycNum.rational(3, want) and type(a.nums[0]) is int
+        assert hash(a) == hash(CycNum.rational(3, want))

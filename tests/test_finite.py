@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -279,6 +280,7 @@ def test_residue_table_builds_one_inverse_table_per_prime(monkeypatch):
     built = []
     real_table = finite.inverse_table
     monkeypatch.setattr(finite, "inverse_table", lambda p: built.append(p) or real_table(p))
+    finite._small_inverse_row.cache_clear()  # rows below 2^16 are kept for the run
     gens = [
         CongruenceIndex((1, 2), (0, 1), 3),
         CongruenceIndex((3,), (2,), 3),
@@ -286,11 +288,14 @@ def test_residue_table_builds_one_inverse_table_per_prime(monkeypatch):
     ]
     table = build_residue_table(gens, _small_class(), use_cache=False)
     assert sorted(built) == [7, 13, 19]
+    build_residue_table(gens[::-1], _small_class(), use_cache=False)
+    assert sorted(built) == [7, 13, 19]  # a second table at the same primes inverts nothing
     for p in (7, 13, 19):
         assert table.residue(gens[0], p) == congruence_residue(gens[0], p)
         assert table.residue(gens[2], p) == brute_finite(gens[2], p, table.contexts[p])
     # 2 has order 2 mod 3: colored residues lie in F_(p^2), summed as Fq objects
     built.clear()
+    finite._small_inverse_row.cache_clear()
     gens = [Index((1, 1), (1, 2), 3), Index((2,), (1,), 3), CongruenceIndex((1,), (2,), 3)]
     table = build_residue_table(gens, PrimeClass(3, 2, (5, 11, 17)), use_cache=False)
     assert sorted(built) == [5, 11, 17]
@@ -654,3 +659,19 @@ def test_dim_path_cache_bytes_are_pinned(tmp_path, capsys, N, wmax, size, digest
     build_residue_table(gens, primes_in_class(N, 1, 36, floor=50), cache_dir=str(tmp_path), jobs=1)
     data = _export(tmp_path, capsys).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_inverse_rows_below_two_to_the_sixteen_are_kept_read_only(monkeypatch):
+    built = []
+    real_table = finite.inverse_table
+    monkeypatch.setattr(finite, "inverse_table", lambda p: built.append(p) or real_table(p))
+    finite._small_inverse_row.cache_clear()
+    first = finite._inverse_powers(101, 3, 110)
+    again = finite._inverse_powers(101, 2, 101)
+    assert built == [101]
+    assert np.array_equal(first[:2, :101], again) and not first[:, 100:].any()
+    row = finite._small_inverse_row(101)
+    assert not row.flags.writeable and (row * np.arange(1, 101) % 101 == 1).all()
+    for _ in range(2):  # 65537 > 2^16: built again on every call
+        finite._inverse_powers(65537, 1, 65536)
+    assert built == [101, 65537, 65537]

@@ -1,5 +1,6 @@
 """Residue fields F_{p^d} with a distinguished image of the level-N root."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,54 @@ def test_split_prime_zeta_image_is_smallest_root():
         ]
         ctx = make_fq_context(p, N)
         assert ctx.zeta_coeffs == (min(roots),)
+
+
+def _smallest_primitive_roots(p, nmax):
+    """{N: the least x mod p of multiplicative order N} for the N <= nmax
+    dividing p - 1, from the orders of every x found by repeated products."""
+    x = np.arange(1, p, dtype=np.int64)
+    order = np.zeros(p - 1, dtype=np.int64)
+    acc = x.copy()
+    for j in range(1, nmax + 1):
+        order[(acc == 1) & (order == 0)] = j
+        acc = acc * x % p
+    return {N: int(x[order == N][0]) for N in range(2, nmax + 1) if (p - 1) % N == 0}
+
+
+def test_split_contexts_are_the_smallest_primitive_roots():
+    # d = 1 is built in closed form; every pair N <= 12, p < 3000 with
+    # p = 1 mod N, every twist, against a search over all of F_p^*
+    pairs = 0
+    for p in (n for n in range(3, 3000) if is_prime(n)):
+        for N, root in _smallest_primitive_roots(p, 12).items():
+            pairs += 1
+            for twist in (t for t in range(1, N) if math.gcd(t, N) == 1):
+                ctx = make_fq_context(p, N, twist)
+                zeta = pow(root, twist, p)
+                assert (ctx.d, ctx.modulus, ctx.zeta_coeffs) == (1, ((-zeta) % p, 1), (zeta,))
+    assert pairs == 1643
+
+
+# (p, N, twist) -> (modulus, zeta image) of contexts with 1 < d, which
+# Cantor-Zassenhaus or Phi_N itself gives, as before the d = 1 closed form
+_PINNED = {
+    (19, 5, 1): ((1, 15, 1), (0, 1)),
+    (29, 5, 2): ((1, 6, 1), (0, 1)),
+    (59, 5, 3): ((1, 26, 1), (0, 1)),
+    (2, 5, 1): ((1, 1, 1, 1, 1), (0, 1, 0, 0)),
+    (13, 7, 1): ((1, 6, 1), (0, 1)),
+    (11, 7, 2): ((10, 6, 7, 1), (0, 1, 0)),
+    (23, 7, 1): ((22, 13, 14, 1), (0, 1, 0)),
+    (23, 7, 3): ((22, 9, 10, 1), (0, 1, 0)),
+    (5, 7, 3): ((1, 1, 1, 1, 1, 1, 1), (0, 1, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("p, N, twist", sorted(_PINNED))
+def test_contexts_of_higher_degree_are_pinned(p, N, twist):
+    ctx = make_fq_context(p, N, twist)
+    assert (ctx.modulus, ctx.zeta_coeffs) == _PINNED[p, N, twist]
+    assert ctx.d == len(ctx.modulus) - 1 > 1
 
 
 def test_fq_arithmetic_inert():

@@ -85,7 +85,18 @@ def test_enumerate_generators_rejects_bad_input():
     with pytest.raises(ValueError):
         enumerate_generators(2, 0)
     with pytest.raises(ValueError):
+        enumerate_generators(2, -1)
+    with pytest.raises(ValueError):
         enumerate_generators(2, 2, "motivic")
+
+
+def test_enumerate_generators_hands_out_a_new_list_each_call():
+    first = enumerate_generators(3, 2)
+    first.append("not a generator")
+    first[0] = None
+    again = enumerate_generators(3, 2)
+    assert len(again) == 12 and None not in again and again[0] == CongruenceIndex((2,), (0,), 3)
+    assert again is not enumerate_generators(3, 2)
 
 
 # ---- linear shuffle rows ----
@@ -707,3 +718,82 @@ def test_reversal_rows_are_reduced_echelon_and_hold_at_primes(N, alpha, weight):
         for row in rows:
             total = sum(c * congruence_residue_int(g, p) for g, c in row.items())
             assert total.numerator % p == 0
+
+
+@pytest.mark.parametrize("N, alpha, weight", [(1, 1, 5), (2, 1, 4), (3, 1, 4), (3, 2, 3), (4, 3, 3), (5, 2, 2)])
+def test_reversal_rows_pair_each_generator_with_its_reversed_class(N, alpha, weight):
+    from cmzv.relations import reversal_relations_congruence
+
+    gens = enumerate_generators(N, weight, "congruence")
+    order = {g: i for i, g in enumerate(gens)}
+    sign = Fraction(-1 if weight % 2 else 1)
+    want = []
+    for g in gens:
+        rev = g.reversed_class(alpha)
+        if order[rev] > order[g]:
+            want.append({g: Fraction(1), rev: -sign})
+        elif rev == g and weight % 2:
+            want.append({g: Fraction(1)})
+    got = reversal_relations_congruence(N, weight, alpha)
+    assert got == want
+    assert [list(row) for row in got] == [list(row) for row in want]  # pivot first
+
+
+# ---- the check of a relation record ----
+
+
+def _random_record(rng, G, primes, top):
+    """Rows in reduced echelon form (negative pivot last) on G generators, and
+    a (G, P) residue matrix on which they vanish at every prime."""
+    pivots = sorted(rng.sample(range(1, G), rng.randint(0, G - 1)))
+    rows = []
+    for piv in pivots:
+        row = [0 if h in pivots else rng.randint(-top, top) for h in range(piv)]
+        rows.append(row + [-1])
+    matrix = np.array([[rng.randrange(p) for p in primes] for _ in range(G)], dtype=np.int64)
+    for row in rows:  # its pivot's residues are the sum of the others'
+        piv = len(row) - 1
+        matrix[piv] = [sum(c * int(matrix[h, j]) for h, c in enumerate(row[:-1])) % p
+                       for j, p in enumerate(primes)]
+    return rows, matrix
+
+
+def _vanishes(rows, matrix, primes):
+    """Each row vanishes at every prime, summed in Python ints."""
+    return all(
+        sum(c * int(matrix[h, j]) for h, c in enumerate(row)) % p == 0
+        for row in rows for j, p in enumerate(primes)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 10**6, 2**40, 2**60]), st.booleans())
+def test_record_check_in_int64_and_in_python_ints_agree(seed, top, tamper):
+    # top = 2^60 puts max|A| G max(p) past 2^62, so A @ matrix runs on
+    # Python ints; the smaller tops keep it in int64
+    import random
+
+    rng = random.Random(seed)
+    primes = primes_in_class(3, 1, rng.randint(1, 6), floor=50).primes
+    rows, matrix = _random_record(rng, rng.randint(2, 9), primes, top)
+    if tamper:
+        i, j = rng.randrange(len(matrix)), rng.randrange(len(primes))
+        matrix[i, j] = (matrix[i, j] + rng.randrange(1, primes[j])) % primes[j]
+    assert relations._echelon_rows(rows, matrix, primes) == _vanishes(rows, matrix, primes)
+    if not tamper:
+        assert relations._echelon_rows(rows, matrix, primes)
+
+
+def test_a_record_past_int64_is_checked_in_python_ints():
+    # c >= 2^40 with c G max(p) >= 2^62: an int64 product wraps and misjudges
+    # the record, so the check must take Python ints
+    primes = (1009, 1013, 1019)
+    c = 2**55 + 7
+    rows = [[c, -1]]
+    matrix = np.array([[p - 1 for p in primes], [-c % p for p in primes]], dtype=np.int64)
+    wrapped = np.array([[c, -1]], dtype=np.int64) @ matrix % np.array(primes)
+    assert wrapped.any() and _vanishes(rows, matrix, primes)
+    assert relations._echelon_rows(rows, matrix, primes)
+    matrix[1, 1] = (matrix[1, 1] + 1) % 1013  # tampered at one prime
+    assert not _vanishes(rows, matrix, primes)
+    assert not relations._echelon_rows(rows, matrix, primes)

@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -27,11 +28,17 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--no-cache", action="store_true")
     args = ap.parse_args()
+    levels = [int(tok) for tok in args.levels.split(",")]
+    for N in levels:  # every level before the first table, which can take minutes
+        if N < 1 or math.gcd(args.alpha, N) != 1:
+            why = "it is not positive" if N < 1 else f"--alpha {args.alpha} is not a unit modulo it"
+            print(f"error: level {N}: {why}", file=sys.stderr)
+            return 2
 
     print(f"{'N':>3} {'w':>3} {'gens':>6} {'exact':>6} {'lll':>5} {'dim':>4} {'mt':>4} "
           f"{'b_cert':>8}  agree")
     mismatches = unflagged = 0
-    for N in (int(tok) for tok in args.levels.split(",")):
+    for N in levels:
         alpha = args.alpha if N > 1 else 0
         cfg = DimConfig(
             train_primes=args.primes,

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fq import BadPrimeError, Fq, FqContext, is_prime, make_fq_context, zeta_table
+from .fq import Fq, FqContext, is_prime, make_fq_context, zeta_table
 from .fq import inverse_row as inverse_table  # the int64 row, with no list round trip
 from .words import Index, _parse_fields, format_index, nested_sum
 
@@ -570,18 +570,6 @@ def _store_columns(columns: dict, cache_dir: str | None = None) -> None:
         _store_cache(path, merged)
 
 
-def store_records(records: list[dict], cache_dir: str | None = None) -> None:
-    """Merge externally supplied cache records into the per-class files.
-
-    Records are grouped by (N, alpha); duplicates of entries already on disk
-    (same prime, index, modulus, and root image) are dropped, and so are
-    malformed records.
-    """
-    columns = {}
-    _merge(enumerate(records, 1), columns, [])
-    _store_columns(columns, cache_dir)
-
-
 def ProcessPoolExecutor(max_workers: int):
     """A concurrent.futures process pool, imported on the first call: only
     tables built with jobs > 1 need it, and the import costs every process."""
@@ -606,19 +594,14 @@ def build_residue_table(
 ) -> ResidueTable:
     """Fill (generator, prime) -> residue, reading and extending the disk cache.
 
-    Primes rejected by the residue-field construction are skipped with a
-    warning; a cache column is used only when its class and context (prime,
-    modulus and root image) match the ones built here.
+    Every prime of pclass gets its residue field, as PrimeClass admits no
+    prime that divides the level.  A cache column is used only when its
+    class and context (prime, modulus and root image) match the ones built here.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     N, alpha = pclass.level, pclass.alpha
-    contexts = {}
-    for p in pclass.primes:
-        try:
-            contexts[p] = make_fq_context(p, N, twist)
-        except BadPrimeError as exc:
-            warnings.warn(f"skipping prime {p}: {exc}")
+    contexts = {p: make_fq_context(p, N, twist) for p in pclass.primes}
     table = ResidueTable(pclass, generators, contexts=contexts)
     gens, values, col_of = table.generators, table.values, table.col_of
 

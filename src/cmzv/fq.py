@@ -306,14 +306,14 @@ def _order_mod(p: int, N: int) -> int:
     return d
 
 
-def _smallest_root_of_unity(p: int, N: int) -> int:
-    """The least primitive N-th root of unity mod p, for N | p - 1 and N > 1."""
-    qs = _prime_factors(N)
+def root_of_order(p: int, n: int) -> int:
+    """g^((p-1)/n) mod p for the least g >= 2 with g^((p-1)/q) != 1 mod p for
+    every prime q | n: a primitive n-th root of unity, for n | p - 1."""
+    qs = _prime_factors(n)
     g = 2
     while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
         g += 1
-    r = pow(g, (p - 1) // N, p)  # of order N: r^(N/q) != 1 for every prime q | N
-    return min(pow(r, k, p) for k in range(1, N) if math.gcd(k, N) == 1)
+    return pow(g, (p - 1) // n, p)
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +335,9 @@ def make_fq_context(p: int, N: int, twist: int = 1) -> FqContext:
     if N == 1:
         return FqContext(p, 1, 1, ((-1) % p, 1), (1,))
     if d == 1:  # the twist-th power of the smallest primitive N-th root
-        zeta = pow(_smallest_root_of_unity(p, N), twist % N, p)
+        r = root_of_order(p, N)
+        least = min(pow(r, k, p) for k in range(1, N) if math.gcd(k, N) == 1)
+        zeta = pow(least, twist % N, p)
         return FqContext(p, N, 1, ((-zeta) % p, 1), (zeta,))
     phi_n = [c % p for c in cyclotomic_polynomial(N)]
     if d == euler_phi(N):

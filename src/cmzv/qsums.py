@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, _ctx, _prime_factors, cyclotomic_polynomial
-from .fq import is_prime, pow_mod
+from .cyclotomic import CycNum, _ctx, cyclotomic_polynomial
+from .fq import is_prime, pow_mod, root_of_order
 from .words import Index, nested_sum
 
 EXACT_LEVEL_LIMIT = 1200
@@ -73,20 +73,15 @@ def _prime_roots(L: int, count: int) -> list[tuple[int, np.ndarray, np.ndarray]]
     """The first `count` primes p = 1 (mod L) below 2^31, counted down from it.
 
     Each comes with w[t] = omega^t and inv[t] = 1/(1 - omega^t) mod p for
-    t = 0..L-1 (inv[0] = 0, unused), omega = a^((p-1)/L) for the least
-    a >= 2 whose power has order exactly L: omega^(L/q) = a^((p-1)/q) != 1
-    for each prime q | L.  w is built by doubling, w[s:2s] = w[:s] omega^s,
+    t = 0..L-1 (inv[0] = 0, unused), omega = fq.root_of_order(p, L), of
+    order exactly L.  w is built by doubling, w[s:2s] = w[:s] omega^s,
     and inv as (1 - w)^(p-2).  Memoised per L.
     """
     found = _PRIME_ROOTS.setdefault(L, [])
     p = found[-1][0] - L if found else 1 + (2**31 - 2) // L * L
-    qs = _prime_factors(L)
     while len(found) < count:
         if is_prime(p):
-            a = 2
-            while any(pow(a, (p - 1) // q, p) == 1 for q in qs):
-                a += 1
-            omega = pow(a, (p - 1) // L, p)
+            omega = root_of_order(p, L)
             w, s = np.ones(L, dtype=np.int64), 1
             while s < L:
                 w[s : 2 * s] = w[: min(s, L - s)] * pow(omega, s, p) % p

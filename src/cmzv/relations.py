@@ -382,32 +382,39 @@ class Discovery(list):
 _DELTA = Fraction(3, 4)
 
 
-def _dot_mod(rows, column, p):
-    """rows . column mod p, exactly (in Python ints where int64 could overflow)."""
-    kind = np.int64 if len(column) * p * p < 2**63 else object
-    return ((rows % p).astype(kind) @ column.astype(kind) % p).astype(np.int64)
+def _mod_product(A, matrix, primes) -> np.ndarray:
+    """A @ matrix % primes, exactly, for integer rows A and column j of matrix
+    holding residues mod primes[j]: in int64 where max|A| G max(p) < 2^62
+    bounds every entry, else in Python ints.  Float rows, as the lattice
+    keeps them, hold integers below 2^53."""
+    if A.dtype.kind == "f":
+        A = A.astype(np.int64)
+    top = int(np.abs(A).max(initial=0))
+    kind = np.int64 if top * len(matrix) * max(primes, default=0) < 2**62 else object
+    return A.astype(kind) @ matrix.astype(kind, copy=False) % np.array(primes, dtype=kind)
 
 
-def _feed(basis: GSOBasis, group) -> None:
-    """Keep the lattice vectors v with v.r = 0 mod p for each (p, r) in group.
+def _feed(basis: GSOBasis, primes, columns) -> None:
+    """Keep the lattice vectors v with v.c = 0 mod p for each prime p and its
+    column c of columns.
 
-    With P the product of the primes and s = b.r mod P, the last row j with
+    With P the product of the primes and s = b.c mod P, the last row j with
     s_j a unit mod P is the pivot: b_i -= c_i b_j with c_i = s_i/s_j mod P,
     centred, and b_j *= P span the index-P sublattice, which is reduced
     again from the first row that changed.  With no such row the primes go
     in one at a time.
     """
     b = basis.rows
-    s = [_dot_mod(b, r, p) for p, r in group]
-    units = np.flatnonzero(np.logical_and.reduce([x != 0 for x in s]))
+    s = _mod_product(b, columns, primes).astype(np.int64)
+    units = np.flatnonzero((s != 0).all(axis=1))
     if not units.size:
-        for one in group if len(group) > 1 else ():
-            _feed(basis, [one])
+        for i in range(len(primes)) if len(primes) > 1 else ():
+            _feed(basis, primes[i : i + 1], columns[:, i : i + 1])
         return
-    P, j = math.prod(p for p, _ in group), units[-1]
+    P, j = math.prod(primes), units[-1]
     if int(np.abs(b).max()) * P >= 2**53:
         raise ArithmeticError("relation lattice entries outgrew float64; lower height_bound")
-    crt = sum(x * ((P // p) * pow(P // p, -1, p)) % P for (p, _), x in zip(group, s)) % P
+    crt = sum(s[:, i] * ((P // p) * pow(P // p, -1, p)) % P for i, p in enumerate(primes)) % P
     c = crt * pow(int(crt[j]), -1, P) % P
     c[c > P // 2] -= P
     c[j] = 0
@@ -443,8 +450,7 @@ def discover_relations_lll(
     gens = table.generators
     if not gens:
         return Discovery()
-    # int_matrix rejects entries outside the prime field
-    columns = dict(zip(primes, table.int_matrix().T))
+    matrix = table.int_matrix()  # rejects entries outside the prime field
     G = len(gens)
     basis = GSOBasis(np.eye(G), fresh=G)  # Z^G, already orthogonal
     shortest = math.inf  # least |b*|^2 of a dropped vector
@@ -454,15 +460,15 @@ def discover_relations_lll(
         raise ValueError("training primes must be below 2^31")
     for i in range(0, train_n, size):
         if len(basis):
-            _feed(basis, [(p, columns[p]) for p in primes[i : min(i + size, train_n)]])
+            stop = min(i + size, train_n)
+            _feed(basis, primes[i:stop], matrix[:, i:stop])
         keep = len(basis)
         while keep and basis.norm2[keep - 1] > height_bound**2 * G:
             keep -= 1
         shortest = min([shortest, *basis.norm2[keep:]])
         basis.truncate(keep)
-    holds = np.ones(len(basis), dtype=bool)
-    for p in primes[train_n : train_n + verify_n]:
-        holds &= _dot_mod(basis.rows, columns[p], p) == 0
+    held_out = slice(train_n, train_n + verify_n)
+    holds = ~_mod_product(basis.rows, matrix[:, held_out], primes[held_out]).any(axis=1)
     lead = len(basis) if holds.all() else int(np.argmin(holds))  # relations before it
     shortest = min([shortest, *basis.norm2[lead:]])
     rows = echelon_basis(basis.rows[holds])
@@ -509,8 +515,7 @@ def _echelon_rows(rows, matrix, primes) -> bool:
     """True when rows are primitive integer rows in reduced echelon form on
     the rows of matrix, each with its negative pivot last, pivots rising,
     and each vanishes at every prime, column j of matrix holding the
-    residues at primes[j]: one product A @ matrix over all primes, in int64
-    where max|A| G max(p) < 2^62 bounds its entries, else in Python ints."""
+    residues at primes[j], by one _mod_product."""
     G = len(matrix)
     if not (type(rows) is list and all(
         type(r) is list and 0 < len(r) <= G and all(type(c) is int for c in r) for r in rows
@@ -520,14 +525,12 @@ def _echelon_rows(rows, matrix, primes) -> bool:
     if pivots != sorted(set(pivots)) or any(r[-1] >= 0 or math.gcd(*r) != 1 for r in rows):
         return False
     top = max((abs(c) for r in rows for c in r), default=0)
-    kind = np.int64 if top * G * max(primes, default=0) < 2**62 else object
-    A = np.zeros((len(rows), G), dtype=kind)
+    A = np.zeros((len(rows), G), dtype=np.int64 if top < 2**63 else object)
     for i, r in enumerate(rows):
         A[i, : len(r)] = r
     at_pivots = A[:, pivots]  # each pivot column holds its own pivot alone
-    return not (at_pivots != np.diag(np.diag(at_pivots))).any() and not (
-        A @ matrix.astype(kind, copy=False) % np.array(primes, dtype=kind)
-    ).any()
+    clean = not (at_pivots != np.diag(np.diag(at_pivots))).any()
+    return clean and not _mod_product(A, matrix, primes).any()
 
 
 def _checked_discovery(rec: dict, gens, matrix, primes) -> Discovery | None:
@@ -626,7 +629,7 @@ class _RelationCache:
 class DimConfig:
     train_primes: int = 24
     verify_primes: int = 12
-    prime_floor: int | None = None  # default: max(weight + 2, 50)
+    prime_floor: int | None = None  # default: max(weight_max + 2, 50), one class for every weight
     height_bound: int = 1000
     twist: int = 1
     use_cache: bool = True
@@ -666,16 +669,16 @@ class DimensionReport:
 def _check_exact_rows(A, table) -> None:
     """Raise AssertionError unless every proven row vanishes at every prime.
 
-    One int64 product of the integer rows A, on the generators of table,
+    One _mod_product of the integer rows A, on the generators of table,
     with its residue matrix; the message names the first failing row and
     prime.
     """
-    primes = np.array(table.primes, dtype=np.int64)
-    bad = A.astype(np.int64) @ table.int_matrix() % primes != 0
+    bad = _mod_product(A, table.int_matrix(), table.primes) != 0
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         row = {format_congruence_index(g): int(c) for g, c in zip(table.generators, A[i]) if c}
-        raise AssertionError(f"exact relation failed at p={primes[np.argmax(bad[i])]}: {row}")
+        p = table.primes[np.argmax(bad[i])]
+        raise AssertionError(f"exact relation failed at p={p}: {row}")
 
 
 def dimension_table(
@@ -691,37 +694,21 @@ def dimension_table(
         raise ValueError("alpha must be a unit modulo N")
     if weight_max < 1:
         raise ValueError("weight_max must be at least 1")
-    plan = []  # (weight, prime class, generators)
-    class_gens = {}  # prime class -> generators of every weight that uses it
-    classes = {}  # floor -> prime class
-    for weight in range(1, weight_max + 1):
-        floor = config.prime_floor
-        if floor is None:
-            floor = max(weight + 2, 50)
-        if floor not in classes:
-            classes[floor] = primes_in_class(
-                N, alpha, config.train_primes + config.verify_primes, floor=floor
-            )
-        pclass = classes[floor]
-        gens = enumerate_generators(N, weight, "congruence")
-        plan.append((weight, pclass, gens))
-        class_gens.setdefault(pclass, []).extend(gens)
-    # one table (and one cache read and write) per prime class, for every weight
-    shared = {
-        pclass: build_residue_table(
-            gens,
-            pclass,
-            use_cache=config.use_cache,
-            cache_dir=config.cache_dir,
-            jobs=config.jobs,
-            twist=config.twist,
-        )
-        for pclass, gens in class_gens.items()
-    }
-    cache = None
-    if config.use_cache:  # beside the residue file, named by the class's reduced alpha
-        root = config.cache_dir or finite._default_cache_dir()
-        cache = _RelationCache(finite._relations_path(root, N, plan[0][1].alpha))
+    floor = config.prime_floor or max(weight_max + 2, 50)
+    pclass = primes_in_class(N, alpha, config.train_primes + config.verify_primes, floor=floor)
+    plan = {w: enumerate_generators(N, w, "congruence") for w in range(1, weight_max + 1)}
+    # one table (and one cache read and write) for every weight
+    shared = build_residue_table(
+        [g for gens in plan.values() for g in gens],
+        pclass,
+        use_cache=config.use_cache,
+        cache_dir=config.cache_dir,
+        jobs=config.jobs,
+        twist=config.twist,
+    )
+    root = config.cache_dir or finite._default_cache_dir()  # relations sit beside the residues
+    path = finite._relations_path(root, N, pclass.alpha)
+    cache = _RelationCache(path) if config.use_cache else None
     levels = {}  # weight -> reversal rows, their array, the free table, its rows in gens
     raw = {}  # weight -> the rows that products multiply (see proven), for this call only
 
@@ -749,17 +736,9 @@ def dimension_table(
         return R, first
 
     reports = []
-    for weight, pclass, gens in plan:
-        table = shared[pclass].subtable(gens)
-        want = config.train_primes + config.verify_primes
-        under = len(table.primes) < want
-        split = (config.train_primes, config.verify_primes)
-        if under:
-            # degrade gracefully: shrink the split but say so in the report
-            avail = len(table.primes)
-            verify_n = min(config.verify_primes, avail // 3)
-            split = (avail - verify_n, verify_n)
-
+    split = (config.train_primes, config.verify_primes)
+    for weight, gens in plan.items():
+        table = shared.subtable(gens)
         rows = reversal_relations_congruence(N, weight, alpha)
         A = np.zeros((len(rows), len(gens)), dtype=np.int64)
         for i, row in enumerate(rows):
@@ -775,8 +754,7 @@ def dimension_table(
         else:
             found = cache.discover(free, split, config, these)
         b_cert = found.b_cert
-        uncertified = b_cert is not None and b_cert < config.height_bound
-        under = under or found.held_out_failures > 0 or uncertified
+        under = found.held_out_failures > 0 or b_cert is not None and b_cert < config.height_bound
         exact = len(rows) + len(found.proven)
         reports.append(
             DimensionReport(

@@ -428,6 +428,21 @@ def test_non_unit_alpha_is_usage_error(argv, capsys):
     assert err.startswith("error:")
 
 
+def test_dimension_sweep_checks_every_level_before_its_first_table():
+    # level 3 has a class 2, level 4 does not: no table starts, and stderr
+    # is one error line naming level 4
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_dimension_tables.py"),
+         "--levels", "3,4", "--alpha", "2", "--no-cache"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: level 4:") and proc.stderr.count("\n") == 1
+
+
 def test_check_without_weights_is_usage_error(capsys):
     code, out, err = run_cli(["check", "--wmax", "0"], capsys)
     assert code == 2

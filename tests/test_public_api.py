@@ -14,6 +14,7 @@ DELETED = (
     "reversal_relations_colored",
     "linear_shuffle_relations",
     "exact_relation_rank",
+    "store_records",
 )
 
 

@@ -14,7 +14,7 @@ from cmzv import finite, lattice, relations, words
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmzv.cyclotomic import CycNum
 from cmzv.finite import CongruenceIndex, PrimeClass, ResidueTable, primes_in_class
@@ -797,3 +797,74 @@ def test_a_record_past_int64_is_checked_in_python_ints():
     matrix[1, 1] = (matrix[1, 1] + 1) % 1013  # tampered at one prime
     assert not _vanishes(rows, matrix, primes)
     assert not relations._echelon_rows(rows, matrix, primes)
+
+
+_MOD_PRODUCT_PRIMES = [2, 3, 53, 61, 1009, 65521, 2**31 - 19, 2**31 - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@example(primes=[2**31 - 1], top=2**40, G=4, R=2, as_float=False, seed=0)
+@given(
+    st.lists(st.sampled_from(_MOD_PRODUCT_PRIMES), min_size=1, max_size=4),
+    st.sampled_from([1, 7, 2**20, 2**40, 2**62, 2**70]),
+    st.integers(1, 6),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_mod_product_is_the_python_int_product(primes, top, G, R, as_float, seed):
+    # negative rows, one prime or several up to 2^31 - 1; where max|A| G
+    # max(p) passes 2^62 an int64 product would wrap, so it takes Python
+    # ints, as the @example, with a coefficient of -2^40, must
+    import random
+
+    rng = random.Random(seed)
+    A = [[rng.randint(-top, top) for _ in range(G)] for _ in range(R)]
+    if A:
+        A[0][0] = -top
+    matrix = np.array([[rng.randrange(p) for p in primes] for _ in range(G)], dtype=np.int64)
+    want = [[sum(a * int(matrix[h, j]) for h, a in enumerate(row)) % p for j, p in enumerate(primes)]
+            for row in A]
+    if as_float and top < 2**53:
+        kind = np.float64  # the relation lattice keeps its rows in floats
+    else:
+        kind = np.int64 if top < 2**63 else object
+    got = relations._mod_product(np.array(A, dtype=kind).reshape(R, G), matrix, primes)
+    assert got.tolist() == want
+    wide = max((abs(a) for row in A for a in row), default=0) * G * max(primes) >= 2**62
+    assert (got.dtype == object) == wide
+
+
+def test_a_tampered_record_past_int64_is_recomputed(tmp_path, monkeypatch):
+    # a lattice row plus a multiple of every record prime but the first
+    # still vanishes at those, and fails at the first where the generator
+    # is nonzero; the coefficient is past 2^63, so the check runs in
+    # Python ints, and must find that one failing prime
+    config = replace(SMALL, cache_dir=str(tmp_path))
+    cold = dimension_table(4, 1, 3, config)
+    path = tmp_path / "relations_N4_a1.jsonl"
+    written = path.read_bytes()
+    records = [json.loads(line) for line in written.decode().splitlines()]
+    rec = max(records, key=lambda rec: len(rec["rows"]))
+    proven = {len(row) - 1 for row in rec["proven"]}
+    rest = [g for h, g in enumerate(rec["generators"]) if h not in proven]
+    pivots = {len(row) - 1 for row in rec["rows"]}
+    row, first = max(rec["rows"], key=len), rec["primes"][0]
+    h = next(
+        h for h in range(len(row) - 1)
+        if h not in pivots
+        and finite.congruence_residue_int(finite.parse_congruence_index(rest[h], 4), first)
+    )
+    base, others = math.prod(rec["primes"][1:]), [c for i, c in enumerate(row) if i != h]
+    # the least multiple of base that keeps the row primitive, so only the product can fail it
+    multiple = next(
+        k * base for k in itertools.count(1) if math.gcd(row[h] + k * base, *others) == 1
+    )
+    assert multiple >= 2**63 and multiple % first
+    row[h] += multiple
+    path.write_text("".join(map(finite._dump, records)))
+    calls = _counting_lll(monkeypatch)
+    with pytest.warns(UserWarning, match=re.escape(str(path))):
+        again = dimension_table(4, 1, 3, config)
+    assert calls and again == cold
+    assert path.read_bytes() == written

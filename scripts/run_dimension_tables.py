@@ -28,7 +28,14 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--no-cache", action="store_true")
     args = ap.parse_args()
-    levels = [int(tok) for tok in args.levels.split(",")]
+    try:
+        levels = [int(tok) for tok in args.levels.split(",")]
+    except ValueError:
+        print(f"error: --levels must be comma-separated integers, got {args.levels!r}", file=sys.stderr)
+        return 2
+    if args.wmax < 1:
+        print("error: --wmax must be at least 1", file=sys.stderr)
+        return 2
     for N in levels:  # every level before the first table, which can take minutes
         if N < 1 or math.gcd(args.alpha, N) != 1:
             why = "it is not positive" if N < 1 else f"--alpha {args.alpha} is not a unit modulo it"

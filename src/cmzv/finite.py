@@ -421,15 +421,20 @@ def _relations_path(cache_dir: str, N: int, alpha: int) -> str:
     return os.path.join(cache_dir, f"relations_N{N}_a{alpha}.jsonl")
 
 
-# A cache line is one column: the residues of one class at one prime in one
-# residue field, {"v": 2, N, alpha, p, modulus, zeta_image, "residues":
-# {index: [d ints]}}.  In memory a file is a dict from the head of a column,
-# (N, alpha, p, modulus, zeta_image) with tuples for lists, to its residues.
+# A cache line is one column, the residues of one class at one prime in one
+# residue field: {"v": 3, N, alpha, p, modulus, zeta_image, "index": [sorted
+# keys], "residues": [d ints a key]}.  In memory a file maps each column's head,
+# (N, alpha, p, modulus, zeta_image) with tuples for lists, to (index, residues).
 _HEAD = ("N", "alpha", "p", "modulus", "zeta_image")
 
 
 def _head(N: int, alpha: int, p: int, ctx: FqContext) -> tuple:
     return (N, alpha, p, tuple(ctx.modulus), tuple(ctx.zeta_coeffs))
+
+
+def _first_wins(pairs):
+    """A JSON object whose repeated keys keep their first value; its keys come reversed."""
+    return dict(reversed(pairs))
 
 
 def _json_lines(lines, skipped: list):
@@ -438,60 +443,81 @@ def _json_lines(lines, skipped: list):
     for n, line in enumerate(lines, 1):
         if line.strip():
             try:
-                yield n, json.loads(line)
+                yield n, json.loads(line, object_pairs_hook=_first_wins)
             except (ValueError, RecursionError):
                 skipped.append(n)
 
 
+def _merged(d: int, pairs, order=list) -> tuple[list, list]:
+    """The (index, residues) pairs as one, the first cell of an index winning,
+    the indices in order(cells), first seen first by default."""
+    cells = {}
+    for index, residues in pairs:
+        for i, key in enumerate(index):
+            cells.setdefault(key, residues[i * d : i * d + d])
+    index = order(cells)
+    return index, list(itertools.chain.from_iterable(map(cells.__getitem__, index)))
+
+
 def _column(value):
-    """(head, residues) of a cache line's JSON value: a column, or a legacy
-    "v": 1 record (N, alpha, p, index, modulus, zeta_image, residue) as its
-    column of one cell.  None unless every field has its JSON type and every
-    residue is d integers in [0, p), d = len(modulus) - 1."""
+    """(head, (index, residues)) of a cache line's JSON value: a column, or a
+    legacy "v": 2 column {index: cell} or "v": 1 record of one cell, as the
+    same pair.  None unless every field has its JSON type, every index is a
+    string and every cell is d integers in [0, p), d = len(modulus) - 1; a
+    repeated index keeps its first cell."""
     if type(value) is not dict:
         return None
-    if value.get("v") == 1 and type(value.get("index")) is str:
-        residues = {value["index"]: value.get("residue")}
-    elif value.get("v") == 2:
-        residues = value.get("residues")
-    else:
-        return None
+    v, index, residues = value.get("v"), value.get("index"), value.get("residues")
     N, alpha, p, modulus, zeta = map(value.get, _HEAD)
     if not (type(N) is type(alpha) is type(p) is int and type(modulus) is type(zeta) is list
-            and len(modulus) > 1 and type(residues) is dict):
+            and len(modulus) > 1):
         return None
-    cells = residues.values()
-    if set(map(type, cells)) - {list} or set(map(len, cells)) - {len(modulus) - 1}:
+    d = len(modulus) - 1
+    if v == 1 and type(index) is str:  # legacy: a record of one cell
+        index, residues = [index], [value.get("residue")]
+    elif v == 2 and type(residues) is dict:  # legacy: {index: cell}
+        index, residues = list(residues), list(residues.values())
+    elif v != 3:
         return None
-    flat = list(itertools.chain.from_iterable(cells))
-    if set(map(type, itertools.chain(modulus, zeta, flat))) - {int}:
+    if v != 3:  # legacy cells, each a list of d entries, made flat
+        if set(map(type, residues)) - {list} or set(map(len, residues)) - {d}:
+            return None
+        residues = list(itertools.chain.from_iterable(residues))
+    if not (type(index) is type(residues) is list and len(residues) == d * len(index)):
         return None
-    if flat and not (min(flat) >= 0 and max(flat) < p):
+    if (set(map(type, index)) - {str}
+            or set(map(type, itertools.chain(modulus, zeta, residues))) - {int}):
         return None
-    return (N, alpha, p, tuple(modulus), tuple(zeta)), residues
+    if residues and not (min(residues) >= 0 and max(residues) < p):
+        return None
+    if len(set(index)) < len(index):
+        index, residues = _merged(d, [(index, residues)])
+    return (N, alpha, p, tuple(modulus), tuple(zeta)), (index, residues)
 
 
-def _add(columns: dict, head: tuple, residues: dict) -> None:
-    """Put residues in the column head of columns; a cell already there wins."""
-    cells = columns.setdefault(head, residues)
-    if cells is not residues:
-        for index, residue in residues.items():
-            cells.setdefault(index, residue)
+def _add(columns: dict, head: tuple, *pairs) -> None:
+    """Put the cells of the (index, residues) pairs in the column head of
+    columns, a cell already there or of an earlier pair winning."""
+    pairs = (columns[head], *pairs) if head in columns else pairs
+    columns[head] = pairs[0] if len(pairs) == 1 else _merged(len(head[3]) - 1, pairs)
 
 
 def _merge(values, columns: dict, skipped: list) -> tuple[int, int]:
     """Add each valid (line number, value) to columns, the first source of a
     cell winning; the numbers of the others go to skipped.  Returns the
-    number of cells read and of legacy records among them."""
+    number of cells read and of legacy lines among them."""
     read = legacy = 0
+    lines = {}  # head -> the pairs of its lines, in file order
     for n, value in values:
         column = _column(value)
         if column is None:
             skipped.append(n)
             continue
-        _add(columns, *column)
-        read += len(column[1])
-        legacy += value["v"] == 1
+        lines.setdefault(column[0], []).append(column[1])
+        read += len(column[1][0])
+        legacy += value["v"] != 3
+    for head, pairs in lines.items():
+        _add(columns, head, *pairs)
     return read, legacy
 
 
@@ -521,10 +547,11 @@ def _read_cache(path: str) -> tuple[dict, bool]:
 
 def _records(columns: dict):
     """Each cell of columns as a legacy per-entry record, column by column."""
-    for (N, alpha, p, modulus, zeta), residues in columns.items():
-        for index, residue in residues.items():
-            yield {"v": 1, "N": N, "alpha": alpha, "p": p, "index": index,
-                   "modulus": list(modulus), "zeta_image": list(zeta), "residue": residue}
+    for (N, alpha, p, modulus, zeta), (index, residues) in columns.items():
+        d = len(modulus) - 1
+        for i, key in enumerate(index):
+            yield {"v": 1, "N": N, "alpha": alpha, "p": p, "index": key, "modulus": list(modulus),
+                   "zeta_image": list(zeta), "residue": residues[i * d : i * d + d]}
 
 
 def _dump(rec: dict) -> str:
@@ -532,10 +559,15 @@ def _dump(rec: dict) -> str:
 
 
 def _store_cache(path: str, columns: dict) -> None:
-    """Write columns, a line each, ordered by (N, alpha, p) and otherwise as given."""
-    heads = sorted(columns, key=itemgetter(0, 1, 2))
-    _write_lines(path, (_dump({"v": 2, **dict(zip(_HEAD, head)), "residues": columns[head]})
-                        for head in heads))
+    """Write columns, a line each, ordered by (N, alpha, p) and otherwise as
+    given, the cells of each sorted by index."""
+    lines = []
+    for head in sorted(columns, key=itemgetter(0, 1, 2)):
+        index, residues = columns[head]
+        if not all(map(str.__lt__, index, index[1:])):
+            index, residues = _merged(len(head[3]) - 1, [(index, residues)], sorted)
+        lines.append(_dump({"v": 3, **dict(zip(_HEAD, head)), "index": index, "residues": residues}))
+    _write_lines(path, lines)
 
 
 def _write_lines(path: str, lines) -> None:
@@ -564,9 +596,9 @@ def _store_columns(columns: dict, cache_dir: str | None = None) -> None:
     for N, alpha in dict.fromkeys(head[:2] for head in columns):
         path = _cache_path(root, N, alpha)
         merged, _ = _read_cache(path)
-        for head, residues in columns.items():
+        for head, pair in columns.items():
             if head[:2] == (N, alpha):
-                _add(merged, head, residues)
+                _add(merged, head, pair)
         _store_cache(path, merged)
 
 
@@ -609,19 +641,18 @@ def build_residue_table(
         cache_file = _cache_path(cache_dir or _default_cache_dir(), N, alpha)
         columns, rewrite = _read_cache(cache_file)
         keys = [_generator_key(g) for g in gens]
-        column = itemgetter(*keys) if keys else None  # every cell of a column at one call
+        gathers = {}  # tuple(index) -> (the rows of gens in the column, their cells)
         for p, j in col_of.items():
-            residues = columns.get(_head(N, alpha, p, contexts[p]))
-            if not residues or column is None:
-                continue
-            try:
-                values[:, j] = column(residues)  # one key gives its cell alone, which broadcasts
-            except KeyError:  # some cells missing: take the others one by one
-                found = [residues.get(key) for key in keys]
-                if rows := [i for i, residue in enumerate(found) if residue is not None]:
-                    values[rows, j] = [found[i] for i in rows]
+            index, residues = columns.get(_head(N, alpha, p, contexts[p]), ((), ()))
+            if (shape := tuple(index)) not in gathers:
+                cell = dict(zip(index, range(len(index))))
+                found = np.array([cell.get(key, -1) for key in keys], dtype=np.int64)
+                gathers[shape] = np.flatnonzero(found >= 0), found[found >= 0]
+            rows, cells = gathers[shape]
+            values[rows, j] = np.asarray(residues, dtype=np.int64).reshape(-1, contexts[p].d)[cells]
 
-    todo = {p: np.flatnonzero(values[:, j, 0] < 0) for p, j in col_of.items()}
+    order = np.argsort(keys) if use_cache else np.arange(len(gens))  # key order, as cached
+    todo = {p: order[values[order, j, 0] < 0] for p, j in col_of.items()}
     todo = {p: rows for p, rows in todo.items() if rows.size}  # rows with no cached residue
     slots = {rows.tobytes(): rows for rows in todo.values()}  # one _Slots per row set
     slots = {key: _Slots([gens[i] for i in rows]) for key, rows in slots.items()}
@@ -637,8 +668,7 @@ def build_residue_table(
 
     if use_cache and (todo or rewrite):
         for p, rows in todo.items():
-            residues = columns.setdefault(_head(N, alpha, p, contexts[p]), {})
-            computed = values[rows, col_of[p]].tolist()
-            residues.update(zip(map(keys.__getitem__, rows.tolist()), computed))
+            computed = [keys[i] for i in rows.tolist()], values[rows, col_of[p]].ravel().tolist()
+            _add(columns, _head(N, alpha, p, contexts[p]), computed)
         _store_cache(cache_file, columns)
     return table

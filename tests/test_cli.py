@@ -170,8 +170,8 @@ def test_corrupt_cache_residue_is_computation_error(tmp_path, capsys):
     (path,) = tmp_path.glob("residues_*.jsonl")
     columns = [json.loads(line) for line in path.read_text().splitlines()]
     (col,) = [col for col in columns if col["p"] == 53]
-    residue = col["residues"]["k=1,1,1;f=1,0,1"]
-    residue[0] = (residue[0] + 1) % 53
+    at = col["index"].index("k=1,1,1;f=1,0,1")  # d = 1 at level 2
+    col["residues"][at] = (col["residues"][at] + 1) % 53
     path.write_text("".join(json.dumps(col) + "\n" for col in columns))
     code, _, err = run_cli(argv, capsys)
     assert code == 1
@@ -441,6 +441,21 @@ def test_dimension_sweep_checks_every_level_before_its_first_table():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: level 4:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--levels", "3,x"], "error: --levels must be comma-separated integers, got '3,x'\n"),
+    (["--wmax", "0"], "error: --wmax must be at least 1\n"),
+])
+def test_dimension_sweep_malformed_input_is_usage_error(argv, message):
+    # one error line and no table header, before any table is built
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_dimension_tables.py"), *argv, "--no-cache"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_check_without_weights_is_usage_error(capsys):

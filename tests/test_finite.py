@@ -348,9 +348,9 @@ def test_residue_table_cache_round_trip(tmp_path):
     assert cache_file.read_bytes() == first  # byte-identical rewrite
     assert t1.entries == t2.entries
     columns = [json.loads(line) for line in first.splitlines()]  # one per prime
-    assert all(col["v"] == 2 for col in columns)
+    assert all(col["v"] == 3 for col in columns)
     assert [col["p"] for col in columns] == [7, 13, 19]
-    assert all(len(col["residues"]) == len(gens) for col in columns)
+    assert all(len(col["index"]) == len(gens) for col in columns)
 
 
 def test_residue_table_cache_rejects_stale_modulus(tmp_path):
@@ -362,7 +362,7 @@ def test_residue_table_cache_rejects_stale_modulus(tmp_path):
     doctored = []
     for line in lines:
         col = json.loads(line)
-        col["residues"] = {index: [1] for index in col["residues"]}
+        col["residues"] = [1] * len(col["residues"])
         col["zeta_image"] = [9]  # wrong root image: must be ignored
         doctored.append(json.dumps(col, sort_keys=True, separators=(",", ":")))
     cache_file.write_text("\n".join(doctored) + "\n")
@@ -502,7 +502,7 @@ def test_cache_file_bytes_are_the_sorted_records(tmp_path, capsys, pclass):
     # a line per prime, its residues sorted by index
     columns = [json.loads(line) for line in path.read_text().splitlines()]
     assert [col["p"] for col in columns] == list(pclass.primes)
-    assert all(list(col["residues"]) == sorted(col["residues"]) for col in columns)
+    assert all(col["index"] == sorted(col["index"]) for col in columns)
     assert table.values.shape == (3, 3, table.contexts[pclass.primes[0]].d)
 
 
@@ -584,9 +584,12 @@ def test_cache_record_residue_must_be_field_coefficients(residue):
     rec = {"v": 1, "N": 1, "alpha": 0, "p": 7, "index": "k=1;e=0", "modulus": [6, 1],
            "zeta_image": [1], "residue": [3]}
     column = {**rec, "v": 2, "residues": {"k=1;e=0": [3], "k=2;e=0": [4]}}
-    assert finite._column(rec) == finite._column(column)[:1] + ({"k=1;e=0": [3]},)
+    line = {**rec, "v": 3, "index": ["k=1;e=0", "k=2;e=0"], "residues": [3, 4]}
+    assert finite._column(rec) == finite._column(column)[:1] + ((["k=1;e=0"], [3]),)
+    assert finite._column(line) == finite._column(column)
     assert finite._column(dict(rec, residue=residue)) is None
     assert finite._column({**column, "residues": {"k=1;e=0": [3], "k=2;e=0": residue}}) is None
+    assert finite._column({**line, "residues": [3, *residue]}) is None
 
 
 def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
@@ -602,7 +605,10 @@ def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
     columns = [json.loads(line) for line in path.read_text().splitlines()]
     assert columns[1::2] == both[1::2]  # the twist-2 columns, untouched and in place
     for col, old in zip(columns[::2], both[::2]):
-        assert col == dict(old, residues={**old["residues"], "k=2;e=2": col["residues"]["k=2;e=2"]})
+        (at,) = [i for i, key in enumerate(col["index"]) if key == "k=2;e=2"]
+        cells = dict(zip(old["index"], old["residues"]))  # d = 1 at p = 1 mod 5
+        cells["k=2;e=2"] = col["residues"][at]
+        assert col == dict(old, index=sorted(cells), residues=[cells[k] for k in sorted(cells)])
 
 
 def test_failed_cache_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch):

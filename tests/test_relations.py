@@ -618,7 +618,7 @@ def test_relation_cache_misses_on_a_changed_residue(tmp_path, monkeypatch):
     residues = tmp_path / "residues_N3_a1.jsonl"
     columns = [json.loads(line) for line in residues.read_text().splitlines()]
     (col,) = [col for col in columns if col["p"] == 61]
-    col["residues"] = {ix: [2 * c % 61 for c in cell] for ix, cell in col["residues"].items()}
+    col["residues"] = [2 * c % 61 for c in col["residues"]]
     residues.write_text("".join(map(finite._dump, columns)))
     calls = _counting_lll(monkeypatch)
     with warnings.catch_warnings():
@@ -637,8 +637,8 @@ def test_corrupt_residue_in_a_linear_shuffle_row_fails_loudly(tmp_path):
     residues = tmp_path / "residues_N2_a1.jsonl"
     columns = [json.loads(line) for line in residues.read_text().splitlines()]
     (col,) = [col for col in columns if col["p"] == 59]
-    residue = col["residues"]["k=1,1;f=0,1"]
-    residue[0] = (residue[0] + 1) % 59
+    at = col["index"].index("k=1,1;f=0,1")  # d = 1 at level 2
+    col["residues"][at] = (col["residues"][at] + 1) % 59
     residues.write_text("".join(map(finite._dump, columns)))
     with pytest.raises(AssertionError, match=r"exact relation failed at p=59: .*k=1,1;f=0,1"):
         dimension_table(2, 1, 2, config)

@@ -41,12 +41,7 @@ def main() -> int:
             why = "it is not positive" if N < 1 else f"--alpha {args.alpha} is not a unit modulo it"
             print(f"error: level {N}: {why}", file=sys.stderr)
             return 2
-
-    print(f"{'N':>3} {'w':>3} {'gens':>6} {'exact':>6} {'lll':>5} {'dim':>4} {'mt':>4} "
-          f"{'b_cert':>8}  agree")
-    mismatches = unflagged = 0
-    for N in levels:
-        alpha = args.alpha if N > 1 else 0
+    try:
         cfg = DimConfig(
             train_primes=args.primes,
             verify_primes=args.verify_primes,
@@ -54,6 +49,15 @@ def main() -> int:
             jobs=args.jobs,
             use_cache=not args.no_cache,
         )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+
+    print(f"{'N':>3} {'w':>3} {'gens':>6} {'exact':>6} {'lll':>5} {'dim':>4} {'mt':>4} "
+          f"{'b_cert':>8}  agree")
+    mismatches = unflagged = 0
+    for N in levels:
+        alpha = args.alpha if N > 1 else 0
         start = time.time()
         for rep in dimension_table(N, alpha % N if N > 1 else 0, args.wmax, cfg):
             agree = rep.dim_estimate == rep.mt_dim

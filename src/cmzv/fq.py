@@ -8,8 +8,8 @@ for d = 1 the smallest root wins) and the image of zeta_N modulo it.
 
 For d = 1 (p = 1 mod N) the factors are the x - r with r a primitive N-th
 root of unity mod p, so the canonical one is built in closed form: with g
-the first integer >= 2 whose (p-1)/q-th power is not 1 for any prime q | N,
-r = g^((p-1)/N) has order N, and the smallest primitive root is the least
+the first integer >= 2 for which r = g^((p-1)/N) has r^(N/q) != 1 for every
+prime q | N, r has order N, and the smallest primitive root is the least
 r^k over the k coprime to N.  Cantor-Zassenhaus splits the cyclotomic
 polynomial only for 1 < d < phi(N).
 """
@@ -33,9 +33,14 @@ class BadPrimeError(ValueError):
 # ---- primality and small prime streams -----------------------------------
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to the bases 2, 3, 5 and 7 (Jaeschke, Math. Comp.
+# 61, 1993): below it those four witnesses decide primality
+_FOUR_WITNESS_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin after trial division by _MR_WITNESSES, with the witnesses
+    2, 3, 5, 7 below _FOUR_WITNESS_BOUND and all twelve from there on."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -45,7 +50,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _FOUR_WITNESS_BOUND else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -74,15 +79,34 @@ def pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return result
 
 
+def power_row(x: int, length: int, p: int) -> np.ndarray:
+    """x^t mod p for t = 0..length-1 as int64, p < 2^31, built by doubling:
+    w[s:2s] = w[:s] x^s."""
+    w, s = np.ones(length, dtype=np.int64), 1
+    while s < length:
+        w[s : 2 * s] = w[: min(s, length - s)] * pow(x, s, p) % p
+        s *= 2
+    return w
+
+
 def inverse_row(p: int) -> np.ndarray:
-    """Inverses of 1..p-1 mod p as n^(p-2), an int64 array of p - 1 entries."""
+    """Inverses of 1..p-1 mod p, an int64 array of p - 1 entries.
+
+    Below 2^16 from the powers w[k] = g^k of a primitive root g, by one
+    scatter inv[g^k] = g^(p-1-k); from there on as n^(p-2) by pow_mod.
+    """
     if p >= 2**31:
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
-    return pow_mod(np.arange(1, p, dtype=np.int64), p - 2, p)
+    if p >= 2**16:
+        return pow_mod(np.arange(1, p, dtype=np.int64), p - 2, p)
+    w = power_row(root_of_order(p, p - 1), p - 1, p)  # p = 2: w = [1], g unused
+    inv = np.empty(p - 1, dtype=np.int64)
+    inv[w - 1] = np.concatenate((w[:1], w[:0:-1]))  # g^(p-1-k), k = 0..p-2
+    return inv
 
 
 def inverse_table(p: int) -> list[int]:
-    """Inverses of 1..p-1 mod p as n^(p-2), with 0 at index 0."""
+    """inverse_row(p) as a list, with 0 at index 0."""
     return [0, *inverse_row(p).tolist()]
 
 
@@ -307,13 +331,14 @@ def _order_mod(p: int, N: int) -> int:
 
 
 def root_of_order(p: int, n: int) -> int:
-    """g^((p-1)/n) mod p for the least g >= 2 with g^((p-1)/q) != 1 mod p for
+    """x = g^((p-1)/n) mod p for the least g >= 2 with x^(n/q) != 1 mod p for
     every prime q | n: a primitive n-th root of unity, for n | p - 1."""
-    qs = _prime_factors(n)
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+    qs, g = _prime_factors(n), 2
+    while True:
+        x = pow(g, (p - 1) // n, p)
+        if all(pow(x, n // q, p) != 1 for q in qs):
+            return x
         g += 1
-    return pow(g, (p - 1) // n, p)
 
 
 @lru_cache(maxsize=None)

@@ -24,12 +24,11 @@ import gc
 import math
 import operator
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycNum, _ctx, cyclotomic_polynomial
-from .fq import is_prime, pow_mod, root_of_order
+from .cyclotomic import CycNum, _ctx, _fold, cyclotomic_polynomial
+from .fq import is_prime, pow_mod, power_row, root_of_order
 from .words import Index, nested_sum
 
 EXACT_LEVEL_LIMIT = 1200
@@ -74,18 +73,14 @@ def _prime_roots(L: int, count: int) -> list[tuple[int, np.ndarray, np.ndarray]]
 
     Each comes with w[t] = omega^t and inv[t] = 1/(1 - omega^t) mod p for
     t = 0..L-1 (inv[0] = 0, unused), omega = fq.root_of_order(p, L), of
-    order exactly L.  w is built by doubling, w[s:2s] = w[:s] omega^s,
-    and inv as (1 - w)^(p-2).  Memoised per L.
+    order exactly L.  w is fq.power_row, built by doubling, and inv is
+    (1 - w)^(p-2).  Memoised per L.
     """
     found = _PRIME_ROOTS.setdefault(L, [])
     p = found[-1][0] - L if found else 1 + (2**31 - 2) // L * L
     while len(found) < count:
         if is_prime(p):
-            omega = root_of_order(p, L)
-            w, s = np.ones(L, dtype=np.int64), 1
-            while s < L:
-                w[s : 2 * s] = w[: min(s, L - s)] * pow(omega, s, p) % p
-                s *= 2
+            w = power_row(root_of_order(p, L), L, p)
             found.append((p, w, pow_mod((1 - w) % p, p - 2, p)))
         p -= L
     return found[:count]
@@ -239,7 +234,7 @@ def float_types(precision: int):
 
 @contextmanager
 def _number_type(precision: int):
-    """(real, pi, sin, exp, log, expj) for arithmetic with `precision` bits.
+    """(real, pi, sin, exp, log, polar) for arithmetic with `precision` bits.
 
     numpy float64 or longdouble where float_types has one.  Otherwise real is
     object, for Python integers, which mpmath numbers absorb exactly, and
@@ -247,12 +242,25 @@ def _number_type(precision: int):
     + 16) with the cyclic garbage collector off: an operation on an object
     array makes one number per entry, all alive until it ends, which would
     set off full collections over every number alive; they form no cycles.
-    expj(theta) = cos theta + i sin theta.
+    polar(theta, scale, over) is scale e^(i theta), or e^(i theta)/scale when
+    over.  In numpy it writes scale cos theta and scale sin theta into the
+    .real and .imag of one complex array, with no complex temporary: the bits
+    of the complex product, and of the quotient too, as numpy divides by a
+    real scale by multiplying with 1/scale.
     """
     types = float_types(precision)
     if types is not None:
         real, cplx, pi = types
-        yield real, pi, np.sin, np.exp, np.log, lambda t: (np.cos(t) + 1j * np.sin(t)).astype(cplx)
+
+        def polar(theta, scale, over=False):
+            z = np.empty(theta.shape, dtype=cplx)
+            if over:
+                scale = 1 / scale
+            np.multiply(np.cos(theta), scale, out=z.real)
+            np.multiply(np.sin(theta), scale, out=z.imag)
+            return z
+
+        yield real, pi, np.sin, np.exp, np.log, polar
         return
     import mpmath
 
@@ -261,7 +269,12 @@ def _number_type(precision: int):
     try:
         with mpmath.workprec(precision + 16):
             funcs = (mpmath.sin, mpmath.exp, mpmath.log, mpmath.expj)
-            yield object, mpmath.pi, *(np.frompyfunc(f, 1, 1) for f in funcs)
+            sin, exp, log, expj = (np.frompyfunc(f, 1, 1) for f in funcs)
+
+            def polar(theta, scale, over=False):
+                return expj(theta) / scale if over else scale * expj(theta)
+
+            yield object, mpmath.pi, sin, exp, log, polar
     finally:
         if enabled:
             gc.enable()
@@ -298,25 +311,30 @@ def _numeric_series(m, index, precision, q, weights=None):
     if r >= m:
         return 0.0 + 0.0j
     _tick(r * (m - 1))
-    with _number_type(precision) as (real, pi, sin, exp, log, expj):
+    with _number_type(precision) as (real, pi, sin, exp, log, polar):
         log_sin_1 = log(sin(pi / m)) if q else None
+        angle = (2 * pi / N) * np.arange(N).astype(real)  # the colour angle of e n = t mod N
         sums = [0] * r
         for a in range(1, m, _BLOCK):
-            n = np.arange(a, min(a + _BLOCK, m), dtype=real)
+            count = np.arange(a, min(a + _BLOCK, m))
+            n = count.astype(real)
             if q:
                 # 1/[n] = exp(log_amp) exp(i turn/m)
                 log_amp = log_sin_1 - log(sin(pi * n / m))
                 turn = -pi * (n - 1)
+            scales = {}  # k -> exp(k log_amp) for the q-sum, n^k for the truncated series
 
             def column(j):
                 k, e = index.ks[j], index.es[j]
-                theta = (2 * pi / N) * ((e * n) % N)
+                if k not in scales:
+                    scales[k] = exp(k * log_amp) if q else n**k
+                theta = angle[e * count % N]
                 if not q:
-                    return expj(theta) / n**k
+                    return polar(theta, scales[k], over=True)
                 theta = (turn * k) / m + theta
                 if weights is not None and weights[j]:
                     theta = theta + (2 * pi / m) * np.mod(weights[j] * n, m)
-                return exp(k * log_amp) * expj(theta)
+                return polar(theta, scales[k])
 
             sums = nested_sum(r, column, levels=True, carry=sums)
         return complex(sums[-1])
@@ -343,7 +361,15 @@ def qsum_numeric(m, index, weights=None, precision=None):
 
 
 def truncated_cmzv_exact(m: int, index: Index) -> CycNum:
-    """Sum over m > n_1 > ... > n_r > 0 of prod eta_j^{n_j} / n_j^{k_j}."""
+    """Sum over m > n_1 > ... > n_r > 0 of prod eta_j^{n_j} / n_j^{k_j}.
+
+    Scaled by D^weight, D = lcm(1..m-1), the sum is an integer element of
+    the group ring Z[Z/N]: slot j's term at n is x^(e n mod N) (D/n)^k.  One
+    nested_sum over Python integers sums it, with the innermost column as an
+    (N, m-1) array and each outer slot multiplying by x^(e n) through its
+    gather, as the colored residues do; _fold takes the N-vector onto the
+    power basis of Q(zeta_N).
+    """
     if m < 1:
         raise ValueError("m must be positive")
     N = index.level
@@ -352,16 +378,18 @@ def truncated_cmzv_exact(m: int, index: Index) -> CycNum:
         return CycNum.one(N)
     if r >= m:
         return CycNum.zero(N)
-    # level 1 stays in Fraction, much faster than CycNum at level 1
-    roots = [CycNum.root_power(N, t) for t in range(N)] if N > 1 else [1]
+    D, n = math.lcm(*range(1, m)), np.arange(1, m)
 
     def column(j):
         k, e = index.ks[j], index.es[j]
-        terms = [roots[(e * n) % N] * Fraction(1, n**k) for n in range(1, m)]
-        return np.array(terms, dtype=object)
+        scaled = np.array([(D // t) ** k for t in range(1, m)], dtype=object)  # D^k/n^k
+        if j < r - 1:
+            return scaled, (np.arange(N)[:, None] - e * n) % N  # t takes t - e n
+        terms = np.zeros((N, m - 1), dtype=object)
+        terms[e * n % N, n - 1] = scaled
+        return terms
 
-    total = nested_sum(r, column)
-    return total if N > 1 else CycNum.rational(1, total)
+    return _fold(N, nested_sum(r, column).tolist(), D**index.weight)
 
 
 def truncated_cmzv_numeric(m: int, index: Index, precision: int = 53) -> complex:

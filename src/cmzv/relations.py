@@ -645,6 +645,8 @@ class DimConfig:
             raise ValueError("need at least one training and one held-out prime")
         if self.prime_floor is not None and self.prime_floor < 2:  # the reversal rows need p odd
             raise ValueError("prime_floor must be at least 2")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -446,6 +446,9 @@ def test_dimension_sweep_checks_every_level_before_its_first_table():
 @pytest.mark.parametrize("argv,message", [
     (["--levels", "3,x"], "error: --levels must be comma-separated integers, got '3,x'\n"),
     (["--wmax", "0"], "error: --wmax must be at least 1\n"),
+    (["--height-bound", "0"], "error: height_bound must be at least 1\n"),
+    (["--primes", "0"], "error: need at least one training and one held-out prime\n"),
+    (["--jobs", "0"], "error: jobs must be at least 1\n"),
 ])
 def test_dimension_sweep_malformed_input_is_usage_error(argv, message):
     # one error line and no table header, before any table is built

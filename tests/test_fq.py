@@ -9,12 +9,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cmzv.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
+from cmzv.cyclotomic import _prime_factors
 from cmzv.fq import (
     BadPrimeError,
+    inverse_row,
     inverse_table,
     is_prime,
     make_fq_context,
     pow_mod,
+    root_of_order,
     to_residue_field,
 )
 
@@ -25,6 +28,48 @@ def test_is_prime_small():
     assert not is_prime(1)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_is_prime_refuses_the_least_strong_pseudoprime_to_2_3_5_7():
+    # 151 * 751 * 28351 passes Miller-Rabin at the witnesses 2, 3, 5 and 7, so
+    # it is the first n that needs the other eight
+    assert 3215031751 == 151 * 751 * 28351
+    assert not is_prime(3215031751)
+    # and 2251 * 11251, the least strong pseudoprime to 2, 3 and 5, needs the 7
+    assert not is_prime(25326001)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    sieve = np.ones(10**5, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    assert [n for n in range(10**5) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+
+def frozen_root_of_order(p, n):
+    """The former search, with exponents (p-1)/q of up to 31 bits."""
+    qs = _prime_factors(n)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return pow(g, (p - 1) // n, p)
+
+
+def test_root_of_order_equals_the_former_search():
+    for p in filter(is_prime, range(2, 2**12)):
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert root_of_order(p, n) == frozen_root_of_order(p, n), (p, n)
+
+
+def test_inverse_row_is_n_to_the_p_minus_2():
+    # below 2^16 the row comes from the powers of a primitive root, above from pow_mod
+    for p in [*filter(is_prime, range(2, 2**12)), 65521, 65537]:
+        row = inverse_row(p)
+        assert row.dtype == np.int64
+        assert row.tolist() == [pow(n, p - 2, p) for n in range(1, p)], p
 
 
 def test_inverse_table():

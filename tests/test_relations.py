@@ -685,6 +685,13 @@ def test_dim_config_rejects_budgets_that_certify_nothing(kwargs):
         DimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_dim_config_refuses_fewer_than_one_job(jobs):
+    # refused when the config is built, not when the first table is
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        DimConfig(jobs=jobs, use_cache=False)
+
+
 def test_dim_config_refuses_a_prime_floor_that_admits_two():
     # at p = 2 the odd-weight reversal row {g: 1} of a fixed point g = -g fails
     for floor in (1, 0, -3):

@@ -90,15 +90,11 @@ def power_row(x: int, length: int, p: int) -> np.ndarray:
 
 
 def inverse_row(p: int) -> np.ndarray:
-    """Inverses of 1..p-1 mod p, an int64 array of p - 1 entries.
-
-    Below 2^16 from the powers w[k] = g^k of a primitive root g, by one
-    scatter inv[g^k] = g^(p-1-k); from there on as n^(p-2) by pow_mod.
+    """Inverses of 1..p-1 mod p, an int64 array of p - 1 entries, from the
+    powers w[k] = g^k of a primitive root g by one scatter inv[g^k] = g^(p-1-k).
     """
     if p >= 2**31:
         raise ValueError(f"int64 residues need p < 2^31, got {p}")
-    if p >= 2**16:
-        return pow_mod(np.arange(1, p, dtype=np.int64), p - 2, p)
     w = power_row(root_of_order(p, p - 1), p - 1, p)  # p = 2: w = [1], g unused
     inv = np.empty(p - 1, dtype=np.int64)
     inv[w - 1] = np.concatenate((w[:1], w[:0:-1]))  # g^(p-1-k), k = 0..p-2

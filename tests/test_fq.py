@@ -65,11 +65,12 @@ def test_root_of_order_equals_the_former_search():
 
 
 def test_inverse_row_is_n_to_the_p_minus_2():
-    # below 2^16 the row comes from the powers of a primitive root, above from pow_mod
     for p in [*filter(is_prime, range(2, 2**12)), 65521, 65537]:
         row = inverse_row(p)
         assert row.dtype == np.int64
         assert row.tolist() == [pow(n, p - 2, p) for n in range(1, p)], p
+    p = 1_000_003
+    assert (np.arange(1, p, dtype=np.int64) * inverse_row(p) % p == 1).all()
 
 
 def test_inverse_table():

@@ -19,7 +19,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -298,9 +297,12 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
 
     root = config.cache_dir or finite._default_cache_dir()
     files = _cache_files(root)
-    stored = (rec for path in files for rec in finite._records(finite._read_cache(path)[0]))
+    stored = (finite._read_cache(path)[0] for path in files)
     if args.action == "stat":
-        counts = Counter((rec["N"], rec["alpha"], rec["p"]) for rec in stored)
+        counts = Counter()
+        for columns in stored:
+            for head, (index, _) in columns.items():
+                counts[head[:3]] += len(index)
         rows = [(n, a, p, c) for (n, a, p), c in sorted(counts.items())]
         if config.fmt == "json":
             doc = [{"N": n, "alpha": a, "p": p, "entries": c} for n, a, p, c in rows]
@@ -314,15 +316,14 @@ def _cmd_cache(args, config: RunConfig, out: _Out) -> int:
             os.remove(path)
         out.write(_json_text({"removed_files": len(files)}))
         return 0
-    if args.action == "export":
-        key = itemgetter("N", "alpha", "p", "index")
-        out.write("".join(map(finite._dump, sorted(stored, key=key))))
+    if args.action == "export":  # each file's lines as it writes them, files in name order
+        out.write("".join(line for columns in stored for line in finite._cache_lines(columns)))
         return 0
     # import: merge a JSON-lines bundle back into per-class files, read as
     # cache files are read
     not_json, other, columns = [], [], {}
     with open(args.file, encoding="utf-8", errors="replace") as fh:
-        imported, _ = finite._merge(finite._json_lines(fh, not_json), columns, other)
+        imported = finite._merge(finite._json_lines(fh, not_json), columns, other)
     if not_json or other:
         print(f"warning: {args.file}: skipped {len(not_json) + len(other)} line(s) that hold "
               f"no record ({len(not_json)} non-JSON), the first at line "
@@ -394,7 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "cache", help="cache administration",
         description="clear removes the residue files and the relation-lattice records; "
                     "stat, export and import read and write residues only, since relation "
-                    "records are derived from them and rebuilt on demand.",
+                    "records are derived from them and rebuilt on demand.  export writes "
+                    "each residue file's \"v\":3 column lines, sorted as the file is, files "
+                    "in name order; a \"v\":1 or \"v\":2 line of an older release is "
+                    "dropped as a bad line and its residues are recomputed.",
     )
     sp.add_argument("action", choices=("stat", "clear", "export", "import"))
     sp.add_argument("--file", default=None, help="bundle path for import")
@@ -443,6 +447,8 @@ def main(argv=None) -> int:
             _qsum_grid(args, config)
         if args.command in ("dim", "mtdim", "check") and args.wmax < 1:
             raise ValueError("--wmax must be at least 1")
+        if args.command == "check" and args.count < 1:
+            raise ValueError("--count must be at least 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fq import Fq, FqContext, is_prime, make_fq_context, zeta_table
-from .fq import inverse_row as inverse_table  # the int64 row, with no list round trip
+from .fq import Fq, FqContext, inverse_row, is_prime, make_fq_context, zeta_table
 from .words import Index, _parse_fields, format_index, nested_sum
 
 
@@ -120,10 +119,10 @@ def parse_congruence_index(text: str, level: int) -> CongruenceIndex:
 
 @lru_cache(maxsize=64)
 def _small_inverse_row(p: int) -> np.ndarray:
-    """inverse_table(p) for p < 2^16 as uint16, made once and read-only: a run
+    """inverse_row(p) for p < 2^16 as uint16, made once and read-only: a run
     that sums many tables at the same few primes (`cmzv check`) inverts
     each once, and 64 rows hold at most 8 MB."""
-    row = inverse_table(p).astype(np.uint16)
+    row = inverse_row(p).astype(np.uint16)
     row.setflags(write=False)
     return row
 
@@ -133,9 +132,9 @@ def _inverse_powers(p: int, kmax: int, length: int) -> np.ndarray:
     n = length, for k = 1..kmax.
 
     Products of two residues fit in int64 only for p < 2^31, the bound of
-    nested_sum; inverse_table raises above it, before any array is made.
+    nested_sum; inverse_row raises above it, before any array is made.
     """
-    inverse = _small_inverse_row(p) if p < 2**16 else inverse_table(p)
+    inverse = _small_inverse_row(p) if p < 2**16 else inverse_row(p)
     powers = np.zeros((kmax, length), dtype=np.int64)
     powers[0, : p - 1] = inverse
     for k in range(1, kmax):
@@ -460,29 +459,18 @@ def _merged(d: int, pairs, order=list) -> tuple[list, list]:
 
 
 def _column(value):
-    """(head, (index, residues)) of a cache line's JSON value: a column, or a
-    legacy "v": 2 column {index: cell} or "v": 1 record of one cell, as the
-    same pair.  None unless every field has its JSON type, every index is a
-    string and every cell is d integers in [0, p), d = len(modulus) - 1; a
-    repeated index keeps its first cell."""
+    """(head, (index, residues)) of a cache line's JSON value, a "v": 3 column.
+    None unless every field has its JSON type, every index is a string and
+    every cell is d integers in [0, p), d = len(modulus) - 1; a repeated index
+    keeps its first cell."""
     if type(value) is not dict:
         return None
     v, index, residues = value.get("v"), value.get("index"), value.get("residues")
     N, alpha, p, modulus, zeta = map(value.get, _HEAD)
-    if not (type(N) is type(alpha) is type(p) is int and type(modulus) is type(zeta) is list
-            and len(modulus) > 1):
+    if not (type(v) is type(N) is type(alpha) is type(p) is int and v == 3
+            and type(modulus) is type(zeta) is list and len(modulus) > 1):
         return None
     d = len(modulus) - 1
-    if v == 1 and type(index) is str:  # legacy: a record of one cell
-        index, residues = [index], [value.get("residue")]
-    elif v == 2 and type(residues) is dict:  # legacy: {index: cell}
-        index, residues = list(residues), list(residues.values())
-    elif v != 3:
-        return None
-    if v != 3:  # legacy cells, each a list of d entries, made flat
-        if set(map(type, residues)) - {list} or set(map(len, residues)) - {d}:
-            return None
-        residues = list(itertools.chain.from_iterable(residues))
     if not (type(index) is type(residues) is list and len(residues) == d * len(index)):
         return None
     if (set(map(type, index)) - {str}
@@ -502,11 +490,11 @@ def _add(columns: dict, head: tuple, *pairs) -> None:
     columns[head] = pairs[0] if len(pairs) == 1 else _merged(len(head[3]) - 1, pairs)
 
 
-def _merge(values, columns: dict, skipped: list) -> tuple[int, int]:
+def _merge(values, columns: dict, skipped: list) -> int:
     """Add each valid (line number, value) to columns, the first source of a
     cell winning; the numbers of the others go to skipped.  Returns the
-    number of cells read and of legacy lines among them."""
-    read = legacy = 0
+    number of cells read."""
+    read = 0
     lines = {}  # head -> the pairs of its lines, in file order
     for n, value in values:
         column = _column(value)
@@ -515,10 +503,9 @@ def _merge(values, columns: dict, skipped: list) -> tuple[int, int]:
             continue
         lines.setdefault(column[0], []).append(column[1])
         read += len(column[1][0])
-        legacy += value["v"] != 3
     for head, pairs in lines.items():
         _add(columns, head, *pairs)
-    return read, legacy
+    return read
 
 
 def _load_cache(path: str):
@@ -535,39 +522,30 @@ def _load_cache(path: str):
 
 
 def _read_cache(path: str) -> tuple[dict, bool]:
-    """The columns of a residue file, and whether it holds a legacy or bad
-    line, so that it should be rewritten.  Bad lines are dropped with one
-    warning naming the file."""
+    """The columns of a residue file, and whether it holds a bad line, so that
+    it should be rewritten.  Bad lines are dropped with one warning naming the
+    file."""
     columns, skipped = {}, []
-    _, legacy = _merge(_json_lines(_load_cache(path), skipped), columns, skipped)
+    _merge(_json_lines(_load_cache(path), skipped), columns, skipped)
     if skipped:
         warnings.warn(f"cache file {path}: dropped {len(skipped)} bad line(s)")
-    return columns, bool(legacy or skipped)
-
-
-def _records(columns: dict):
-    """Each cell of columns as a legacy per-entry record, column by column."""
-    for (N, alpha, p, modulus, zeta), (index, residues) in columns.items():
-        d = len(modulus) - 1
-        for i, key in enumerate(index):
-            yield {"v": 1, "N": N, "alpha": alpha, "p": p, "index": key, "modulus": list(modulus),
-                   "zeta_image": list(zeta), "residue": residues[i * d : i * d + d]}
+    return columns, bool(skipped)
 
 
 def _dump(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _store_cache(path: str, columns: dict) -> None:
-    """Write columns, a line each, ordered by (N, alpha, p) and otherwise as
-    given, the cells of each sorted by index."""
+def _cache_lines(columns: dict) -> list[str]:
+    """The lines of a cache file of columns, one each, ordered by (N, alpha,
+    p) and otherwise as given, the cells of each sorted by index."""
     lines = []
     for head in sorted(columns, key=itemgetter(0, 1, 2)):
         index, residues = columns[head]
         if not all(map(str.__lt__, index, index[1:])):
             index, residues = _merged(len(head[3]) - 1, [(index, residues)], sorted)
         lines.append(_dump({"v": 3, **dict(zip(_HEAD, head)), "index": index, "residues": residues}))
-    _write_lines(path, lines)
+    return lines
 
 
 def _write_lines(path: str, lines) -> None:
@@ -599,7 +577,7 @@ def _store_columns(columns: dict, cache_dir: str | None = None) -> None:
         for head, pair in columns.items():
             if head[:2] == (N, alpha):
                 _add(merged, head, pair)
-        _store_cache(path, merged)
+        _write_lines(path, _cache_lines(merged))
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -670,5 +648,5 @@ def build_residue_table(
         for p, rows in todo.items():
             computed = [keys[i] for i in rows.tolist()], values[rows, col_of[p]].ravel().tolist()
             _add(columns, _head(N, alpha, p, contexts[p]), computed)
-        _store_cache(cache_file, columns)
+        _write_lines(cache_file, _cache_lines(columns))
     return table

@@ -1,13 +1,13 @@
 """The residue-cache reader against a plain first-source-wins JSON loop.
 
-A cache file holds one line per column, the residues of a class at one prime
-in one residue field as an index list and one flat list of integers; legacy
-files hold one record per entry ("v": 1) or columns of one object each
-("v": 2).  `reference` decodes every line alone and checks each field by
+A cache file holds one "v": 3 line per column, the residues of a class at
+one prime in one residue field as an index list and one flat list of
+integers.  `reference` decodes every line alone and checks each field by
 hand; files that mix valid, partial, repeated and duplicate columns, columns
-of other primes, twists and classes, legacy lines and every kind of bad line
-must give the same cells, the same table values, and after the rewrite the
-same `cmzv cache export`.
+of other primes, twists and classes, the per-entry records ("v": 1) and
+object columns ("v": 2) of older releases, which count as bad lines, and
+every other kind of bad line must give the same cells, the same table
+values, and the same `cmzv cache export`: the rewritten file's own lines.
 """
 
 import json
@@ -45,49 +45,38 @@ def _first(pairs):
 
 def _reference_column(value):
     """(head, residues) of a line's value, each field checked one by one, the
-    residues as a dict from index to cell, the first cell of an index winning."""
-    if not isinstance(value, dict) or value.get("v") not in (1, 2, 3):
+    residues as a dict from index to cell, the first cell of an index winning;
+    None for a line of an older format as for any bad line."""
+    if not isinstance(value, dict):
         return None
-    fields = ("N", "alpha", "p", "modulus", "zeta_image")
-    N, alpha, p, modulus, zeta = (value.get(f) for f in fields)
-    for x in (N, alpha, p):
+    fields = ("v", "N", "alpha", "p", "modulus", "zeta_image")
+    v, N, alpha, p, modulus, zeta = (value.get(f) for f in fields)
+    for x in (v, N, alpha, p):
         if type(x) is not int:
             return None
+    if v != 3:
+        return None
     for x in (modulus, zeta):
         if type(x) is not list or any(type(c) is not int for c in x):
             return None
     d = len(modulus) - 1
     if d < 1:
         return None
-    if value["v"] == 1:
-        if type(value.get("index")) is not str:
-            return None
-        cells = [(value["index"], value.get("residue"))]
-    elif value["v"] == 2:
-        residues = value.get("residues")
-        if type(residues) is not dict:
-            return None
-        cells = list(residues.items())
-    else:
-        index, residues = value.get("index"), value.get("residues")
-        if type(index) is not list or type(residues) is not list:
-            return None
-        if len(residues) != d * len(index) or any(type(key) is not str for key in index):
-            return None
-        cells = [(key, residues[i * d : (i + 1) * d]) for i, key in enumerate(index)]
-    for _, residue in cells:
-        if type(residue) is not list or len(residue) != d:
-            return None
-        if any(type(c) is not int or not 0 <= c < p for c in residue):
-            return None
+    index, residues = value.get("index"), value.get("residues")
+    if type(index) is not list or type(residues) is not list:
+        return None
+    if len(residues) != d * len(index) or any(type(key) is not str for key in index):
+        return None
+    if any(type(c) is not int or not 0 <= c < p for c in residues):
+        return None
+    cells = [(key, residues[i * d : (i + 1) * d]) for i, key in enumerate(index)]
     return (N, alpha, p, tuple(modulus), tuple(zeta)), _first(cells)
 
 
 def reference(path):
-    """(cells, heads, legacy, bad): (head, index) -> the first residue read
-    for it, the heads in the order they first appear, and whether a line was
-    a legacy record or column and whether one was bad."""
-    cells, heads, legacy, bad = {}, [], False, False
+    """(cells, heads, bad): (head, index) -> the first residue read for it,
+    the heads in the order they first appear, and whether a line was bad."""
+    cells, heads, bad = {}, [], False
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -101,12 +90,25 @@ def reference(path):
                 bad = True
                 continue
             head, residues = column
-            legacy = legacy or value["v"] in (1, 2)
             if head not in heads:
                 heads.append(head)
             for index, residue in residues.items():
                 cells.setdefault((head, index), residue)
-    return cells, heads, legacy, bad
+    return cells, heads, bad
+
+
+def _writer_lines(heads, cells):
+    """The "v": 3 lines of the columns of heads, sorted by (N, alpha, p) and
+    otherwise in order, each index list sorted, one json.dumps a line."""
+    lines = []
+    for head in sorted(heads, key=lambda head: head[:3]):
+        N, alpha, p, modulus, zeta = head
+        index = sorted(key for h, key in cells if h == head)
+        column = {"v": 3, "N": N, "alpha": alpha, "p": p, "modulus": list(modulus),
+                  "zeta_image": list(zeta), "index": index,
+                  "residues": [c for key in index for c in cells[head, key]]}
+        lines.append(json.dumps(column, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)
 
 
 def _export(root):
@@ -131,13 +133,14 @@ def _cells(column):
 
 
 def _legacy(column):
-    """The legacy "v": 2 line of a column: its cells in one object."""
+    """The "v": 2 line of a column, the format before index lists: its cells
+    in one object."""
     rec = {k: v for k, v in column.items() if k != "index"}
     return dict(rec, v=2, residues=_cells(column))
 
 
 def _record(column, index):
-    """The legacy "v": 1 record of one cell of a column."""
+    """The "v": 1 record of one cell of a column, the format before columns."""
     rec = {k: v for k, v in column.items() if k != "residues"}
     return dict(rec, v=1, index=index, residue=_cells(column)[index])
 
@@ -178,12 +181,12 @@ def _line(kind, column, k):
         return finite._dump(dict(column, v=4))
     if kind == "field":
         return finite._dump({f: v for f, v in column.items() if f != sorted(column)[k % 8]})
-    if kind == "legacy":  # the legacy column of all cells in one object
+    if kind == "legacy":  # the "v": 2 column of all cells in one object, now a bad line
         return finite._dump(_legacy(column))
     if kind == "index":  # the index list as a string or an object
         bad = ",".join(column["index"]) if k % 2 else dict.fromkeys(column["index"], 0)
         return finite._dump(dict(column, index=bad))
-    if kind == "record" and index is not None:  # the legacy per-entry record of one cell
+    if kind == "record" and index is not None:  # the "v": 1 record of one cell, now a bad line
         return finite._dump(_record(column, index))
     if kind == "entry" and index is not None:  # an index entry that is no string
         bad = list(column["index"])
@@ -243,19 +246,20 @@ def cache_lines(draw, alpha):
 
 
 def _check_reader(root, alpha, text):
-    """The cache file text gives the reference's cells, table values and export."""
+    """The cache file text gives the reference's cells, table values and
+    export, and the rewritten file, where there is one, the export's bytes."""
     path = root / "cache" / f"residues_N3_a{alpha}.jsonl"
     path.parent.mkdir()
     path.write_text(text, encoding="utf-8")
     pclass = CLASSES[alpha]
     truth = build_residue_table(GENS, pclass, use_cache=False)
 
-    cells, heads, legacy, bad = reference(path)
+    cells, heads, bad = reference(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         columns, stale = finite._read_cache(str(path))
     assert [str(path) in str(w.message) for w in caught] == [True] * bad  # one warning
-    assert list(columns) == heads and stale == (legacy or bad)
+    assert list(columns) == heads and stale == bad
     assert _expand(columns) == cells
 
     want = truth.values.copy()
@@ -271,19 +275,13 @@ def _check_reader(root, alpha, text):
         warnings.simplefilter("ignore")
         table = build_residue_table(GENS, pclass, cache_dir=str(root / "cache"))
     assert np.array_equal(table.values, want)
-    if not (computed or legacy or bad):
-        assert path.read_text(encoding="utf-8") == text  # nothing computed, nothing written
-    else:  # columns, each index list sorted and without repeats
-        columns = [json.loads(line) for line in path.read_text().splitlines()]
-        assert all(col["v"] == 3 and col["index"] == sorted(set(col["index"])) for col in columns)
     heads += [h for h in dict.fromkeys(h for h, _ in computed) if h not in heads]
-    order = {h: n for n, h in enumerate(heads)}
-    expected = sorted({**cells, **computed}.items(),
-                      key=lambda cell: (cell[0][0][:3], cell[0][1], order[cell[0][0]]))
-    records = ({"v": 1, "N": N, "alpha": a, "p": p, "index": index, "modulus": list(m),
-                "zeta_image": list(z), "residue": residue}
-               for ((N, a, p, m, z), index), residue in expected)
-    assert _export(root) == "".join(map(finite._dump, records))
+    expected = _writer_lines(heads, {**cells, **computed})
+    if not (computed or bad):
+        assert path.read_text(encoding="utf-8") == text  # nothing computed, nothing written
+    else:  # columns sorted by prime, each index list sorted and without repeats
+        assert path.read_text(encoding="utf-8") == expected
+    assert _export(root) == expected
 
 
 @pytest.mark.parametrize("alpha", sorted(CLASSES))
@@ -356,30 +354,45 @@ def test_whole_columns_and_columns_with_a_cell_missing(tmp_path, monkeypatch, al
 
 
 def test_a_repeated_index_keeps_its_first_cell(tmp_path):
-    # within a line as across lines: in a legacy object and in an index list
+    # within a line as across lines; a "v": 2 object column that repeats a
+    # key is a bad line and gives no cell
     head = '"N":1,"alpha":0,"modulus":[6,1],"p":7,"zeta_image":[1]'
-    lines = ['{"v":2,%s,"residues":{"k=1;f=0":[1],"k=1;f=0":[2]}}\n' % head,
-             '{"v":3,%s,"index":["k=1;f=0","k=1;f=0"],"residues":[1,2]}\n' % head]
-    for line in lines:
-        path = tmp_path / "residues_N1_a0.jsonl"
-        path.write_text(line)
-        columns, stale = finite._read_cache(str(path))
-        assert list(columns.values()) == [(["k=1;f=0"], [1])]
-        assert stale == line.startswith('{"v":2')
+    texts = ['{"v":3,%s,"index":["k=1;f=0","k=1;f=0"],"residues":[1,2]}\n' % head,
+             '{"v":3,%s,"index":["k=1;f=0"],"residues":[1]}\n' % head
+             + '{"v":3,%s,"index":["k=1;f=0"],"residues":[2]}\n' % head]
+    path = tmp_path / "residues_N1_a0.jsonl"
+    for text in texts:
+        path.write_text(text)
+        assert finite._read_cache(str(path)) == ({(1, 0, 7, (6, 1), (1,)): (["k=1;f=0"], [1])},
+                                                 False)
+    path.write_text('{"v":2,%s,"residues":{"k=1;f=0":[1],"k=1;f=0":[2]}}\n' % head)
+    with pytest.warns(UserWarning, match="dropped 1 bad line"):
+        assert finite._read_cache(str(path)) == ({}, True)
 
 
 @pytest.mark.parametrize("N, alpha, wmax", [(3, 2, 3), (2, 1, 4)])
-def test_a_cache_of_legacy_columns_is_read_whole_and_rewritten(tmp_path, monkeypatch, N, alpha, wmax):
-    # "v": 2 columns, each cell under its index in one object: the same
-    # reports with no residue computed, and the file the cold run wrote.  The
-    # relation records go, so that the lattice runs on the residues read
+def test_a_cache_of_legacy_lines_is_recomputed_and_rewritten(tmp_path, monkeypatch, N, alpha,
+                                                             wmax):
+    # a file of the per-entry "v": 1 records or the "v": 2 object columns of
+    # older releases: every line is bad, so one warning names the file, every
+    # residue is recomputed, the reports are the same, and the file ends with
+    # the cold run's bytes.  The relation records go, so that the lattice
+    # runs on the residues recomputed
     config = DimConfig(cache_dir=str(tmp_path))
     want = dimension_table(N, alpha, wmax, config)
     path = tmp_path / f"residues_N{N}_a{alpha}.jsonl"
     cold = path.read_bytes()
-    path.write_text("".join(finite._dump(_legacy(json.loads(line))) for line in cold.splitlines()))
-    (tmp_path / f"relations_N{N}_a{alpha}.jsonl").unlink()
-    calls, real = [], finite._residues
-    monkeypatch.setattr(finite, "_residues", lambda *a: calls.append(a) or real(*a))
-    assert dimension_table(N, alpha, wmax, config) == want
-    assert calls == [] and path.read_bytes() == cold
+    columns = [json.loads(line) for line in cold.splitlines()]
+    records = [_record(col, key) for col in columns for key in col["index"]]
+    computed, real = [], finite._compute_column
+    monkeypatch.setattr(finite, "_compute_column", lambda a: computed.append(a[2]) or real(a))
+    for lines in (records, list(map(_legacy, columns))):
+        path.write_text("".join(map(finite._dump, lines)))
+        (tmp_path / f"relations_N{N}_a{alpha}.jsonl").unlink()
+        computed.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dimension_table(N, alpha, wmax, config) == want
+        assert [str(w.message) for w in caught] == [
+            f"cache file {path}: dropped {len(lines)} bad line(s)"]
+        assert computed == [col["p"] for col in columns] and path.read_bytes() == cold

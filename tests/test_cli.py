@@ -262,7 +262,7 @@ def test_cache_import_skips_non_json_lines(tmp_path, capsys):
     run_cli(["cache", "clear", *cache], capsys)
     code, out, err = run_cli(["cache", "import", "--file", str(bundle), *cache], capsys)
     assert code == 0
-    assert json.loads(out) == {"imported": len(lines)}
+    assert json.loads(out) == {"imported": sum(len(json.loads(line)["index"]) for line in lines)}
     warning = err.splitlines()[0]
     assert warning.startswith("warning:") and str(bundle) in warning
     assert "2 non-JSON" in warning and "line 2" in warning
@@ -280,9 +280,10 @@ def test_cache_import_counts_json_lines_that_are_not_records(tmp_path, capsys):
     assert run_cli(["cache", "export", "--out", str(good), *cache], capsys)[0] == 0
     bundle = tmp_path / "bundle.jsonl"
     first = good.read_text().splitlines(keepends=True)[0]
-    bundle.write_text('{"v":1,"N":2}\n[1,2]\nnot json\n{truncated\n' + first)
+    bundle.write_text('{"v":3,"N":2}\n[1,2]\nnot json\n{truncated\n' + first)
     code, out, err = run_cli(["cache", "import", "--file", str(bundle), *cache], capsys)
-    assert code == 0 and json.loads(out) == {"imported": 1}
+    # the cells of the one column read, not the lines
+    assert code == 0 and json.loads(out) == {"imported": len(json.loads(first)["index"])}
     warning = err.splitlines()[0]
     assert "skipped 4 line(s)" in warning and "2 non-JSON" in warning
     assert warning.endswith("the first at line 1")
@@ -299,16 +300,36 @@ def test_cache_round_trip_at_field_degree_two_with_two_twists(tmp_path, capsys, 
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     stat_before = run_cli(["cache", "stat", *cache], capsys)[1]
     assert run_cli(["cache", "export", "--out", str(first), *cache], capsys)[0] == 0
-    records = [json.loads(line) for line in first.read_text().splitlines()]
-    assert {len(rec["residue"]) for rec in records} == {2}
-    p = records[0]["p"]
-    assert len({(*rec["modulus"], *rec["zeta_image"]) for rec in records if rec["p"] == p}) \
+    columns = [json.loads(line) for line in first.read_text().splitlines()]
+    assert all(col["v"] == 3 and len(col["residues"]) == 2 * len(col["index"]) for col in columns)
+    p = columns[0]["p"]
+    assert len({(*col["modulus"], *col["zeta_image"]) for col in columns if col["p"] == p}) \
         == contexts
     assert run_cli(["cache", "clear", *cache], capsys)[0] == 0
     assert run_cli(["cache", "import", "--file", str(first), *cache], capsys)[0] == 0
     assert run_cli(["cache", "export", "--out", str(second), *cache], capsys)[0] == 0
     assert first.read_bytes() == second.read_bytes()
     assert run_cli(["cache", "stat", *cache], capsys)[1] == stat_before
+
+
+def test_cache_export_is_the_residue_files_and_import_rewrites_them(tmp_path, capsys):
+    # a cache that `cmzv dim` wrote, at alpha = 2 (d = 2) and alpha = 1:
+    # the export is its residue files concatenated in name order, and
+    # clear + import of it writes the same files again
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for alpha in ("2", "1"):
+        assert run_cli(["dim", "--N", "3", "--alpha", alpha, "--wmax", "2", *cache], capsys)[0] == 0
+    files = sorted((tmp_path / "cache").glob("residues_*.jsonl"))
+    assert [path.name for path in files] == ["residues_N3_a1.jsonl", "residues_N3_a2.jsonl"]
+    written = {path: path.read_bytes() for path in files}
+    bundle = tmp_path / "bundle.jsonl"
+    assert run_cli(["cache", "export", "--out", str(bundle), *cache], capsys)[0] == 0
+    assert bundle.read_bytes() == b"".join(written.values())
+    assert run_cli(["cache", "clear", *cache], capsys)[0] == 0
+    code, out, err = run_cli(["cache", "import", "--file", str(bundle), *cache], capsys)
+    assert code == 0 and "warning" not in err
+    assert {path: path.read_bytes() for path in files} == written
+    assert sorted((tmp_path / "cache").iterdir()) == files
 
 
 def test_cache_clear_removes_residue_and_relation_files(tmp_path, capsys):
@@ -472,6 +493,13 @@ def test_check_without_weights_is_usage_error(capsys):
 def test_wmax_below_one_is_usage_error(command, wmax, capsys):
     code, out, err = run_cli([command, "--N", "2", "--wmax", wmax], capsys)
     assert (code, out, err) == (2, "", "error: --wmax must be at least 1\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_count_below_one_is_usage_error(count, capsys):
+    # a suite of no instance would pass vacuously
+    code, out, err = run_cli(["check", "--count", count], capsys)
+    assert (code, out, err) == (2, "", "error: --count must be at least 1\n")
 
 
 @pytest.mark.parametrize("grid,message", [

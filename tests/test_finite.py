@@ -278,8 +278,8 @@ def test_batched_column_matches_enumeration(data):
 
 def test_residue_table_builds_one_inverse_table_per_prime(monkeypatch):
     built = []
-    real_table = finite.inverse_table
-    monkeypatch.setattr(finite, "inverse_table", lambda p: built.append(p) or real_table(p))
+    real_row = finite.inverse_row
+    monkeypatch.setattr(finite, "inverse_row", lambda p: built.append(p) or real_row(p))
     finite._small_inverse_row.cache_clear()  # rows below 2^16 are kept for the run
     gens = [
         CongruenceIndex((1, 2), (0, 1), 3),
@@ -376,7 +376,7 @@ def test_residue_table_disabled_cache(tmp_path, monkeypatch):
     def unused(*args):
         raise AssertionError("cache work without a cache")
 
-    for name in ("_read_cache", "_generator_key", "_head", "_store_cache"):
+    for name in ("_read_cache", "_generator_key", "_head", "_cache_lines"):
         monkeypatch.setattr(finite, name, unused)
     gens = [Index((1,), (2,), 3)]
     pc = _small_class()
@@ -466,20 +466,18 @@ def _expected_value(gen, p, ctx):
 
 
 def _expected_lines(gens, pclass):
-    """The cache lines of gens at every prime of the class, as the records
-    sorted by (p, index) and serialised one by one."""
-    records = []
+    """The cache lines of gens at every prime of the class: one "v": 3 column
+    a prime, its cells sorted by index, serialised one by one."""
+    lines = []
     for p in pclass.primes:
         ctx = make_fq_context(p, pclass.level)
-        for gen in gens:
-            records.append({
-                "v": 1, "N": pclass.level, "alpha": pclass.alpha, "p": p,
-                "index": finite._generator_key(gen), "modulus": list(ctx.modulus),
-                "zeta_image": list(ctx.zeta_coeffs),
-                "residue": list(_expected_value(gen, p, ctx).coeffs),
-            })
-    records.sort(key=lambda r: (r["p"], r["index"]))
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+        cells = sorted((finite._generator_key(g), _expected_value(g, p, ctx).coeffs) for g in gens)
+        column = {"v": 3, "N": pclass.level, "alpha": pclass.alpha, "p": p,
+                  "modulus": list(ctx.modulus), "zeta_image": list(ctx.zeta_coeffs),
+                  "index": [key for key, _ in cells],
+                  "residues": [c for _, cell in cells for c in cell]}
+        lines.append(json.dumps(column, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)
 
 
 def _export(cache_dir, capsys) -> str:
@@ -495,14 +493,10 @@ def test_cache_file_bytes_are_the_sorted_records(tmp_path, capsys, pclass):
     second = [CongruenceIndex((3,), (2,), 3), Index((1, 1), (1, 2), 3), CongruenceIndex((1,), (0,), 3)]
     build_residue_table(first, pclass, cache_dir=str(tmp_path))
     (path,) = tmp_path.iterdir()
-    assert _export(tmp_path, capsys) == _expected_lines(first, pclass)
+    assert path.read_text() == _export(tmp_path, capsys) == _expected_lines(first, pclass)
     # the entries of the first set are foreign to the second and are written back
     table = build_residue_table(second, pclass, cache_dir=str(tmp_path))
-    assert _export(tmp_path, capsys) == _expected_lines(first + second, pclass)
-    # a line per prime, its residues sorted by index
-    columns = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [col["p"] for col in columns] == list(pclass.primes)
-    assert all(col["index"] == sorted(col["index"]) for col in columns)
+    assert path.read_text() == _export(tmp_path, capsys) == _expected_lines(first + second, pclass)
     assert table.values.shape == (3, 3, table.contexts[pclass.primes[0]].d)
 
 
@@ -547,49 +541,59 @@ def test_table_without_a_residue_reports_it_missing():
         table.int_matrix()
 
 
+HEAD = (1, 0, 7, (6, 1), (1,))  # N = 1 at p = 7, d = 1
+
+
+def _line(keys, residues) -> str:
+    """The "v": 3 line of the cells at HEAD, as json.dumps lays it out."""
+    return json.dumps({"v": 3, "N": 1, "alpha": 0, "p": 7, "modulus": [6, 1],
+                       "zeta_image": [1], "index": keys, "residues": residues})
+
+
 def _read(lines):
-    """(records, numbers of lines not JSON, of JSON lines that hold no record)."""
+    """(columns, numbers of lines not JSON, of JSON lines that hold no column)."""
     not_json, other, columns = [], [], {}
     finite._merge(finite._json_lines(lines, not_json), columns, other)
-    return list(finite._records(columns)), not_json, other
+    return columns, not_json, other
 
 
 def test_cache_reader_falls_back_line_by_line(tmp_path):
-    # the bad lines spoil no neighbour
-    recs = [{"v": 1, "N": 1, "alpha": 0, "p": 7, "index": f"k={k};e=0", "modulus": [6, 1],
-             "zeta_image": [1], "residue": [k]} for k in range(1, 6)]
-    lines = [json.dumps(r) for r in recs]
+    # the bad lines spoil no neighbour; the cells of one head, a line each,
+    # make one column
+    keys = [f"k={k};e=0" for k in range(1, 6)]
+    lines = [_line([key], [k]) for k, key in enumerate(keys, 1)]
     # '[1' and '2]' decode together as one value, never alone
     body = [lines[0], "not json", lines[1], "", lines[2], "[1", "2]", lines[3],
-            '{"v":1,"N":1}', lines[4]]
+            '{"v":3,"N":1}', lines[4]]
     path = tmp_path / "bundle.jsonl"
     path.write_text("\n".join(body) + "\n")
     with open(path) as fh:
-        assert _read(fh) == (recs, [2, 6, 7], [9])
+        assert _read(fh) == ({HEAD: (keys, [1, 2, 3, 4, 5])}, [2, 6, 7], [9])
 
 
 @pytest.mark.parametrize("before", [0, 1, 2, 511])
 def test_cache_reader_takes_no_record_from_a_line_that_is_not_json_alone(before):
-    # two records joined by a comma, then '[0' and '0]': read together as one
+    # two columns joined by a comma, then '[0' and '0]': read together as one
     # JSON array the three lines give three values, as many as the lines
-    recs = [{"v": 1, "N": 1, "alpha": 0, "p": 7, "index": f"k={k};e=0", "modulus": [6, 1],
-             "zeta_image": [1], "residue": [k % 7]} for k in range(1, before + 3)]
-    lines = [json.dumps(r) for r in recs]
+    keys = [f"k={k};e=0" for k in range(1, before + 3)]
+    lines = [_line([key], [k % 7]) for k, key in enumerate(keys, 1)]
     body = lines[:before] + [lines[before] + "," + lines[before + 1], "[0", "0]"]
-    assert _read(body) == (recs[:before], [before + 1, before + 2, before + 3], [])
+    want = {HEAD: (keys[:before], [k % 7 for k in range(1, before + 1)])} if before else {}
+    assert _read(body) == (want, [before + 1, before + 2, before + 3], [])
 
 
 @pytest.mark.parametrize("residue", [[7], [-1], [1, 0], [], ["3"], [2.0], [True]])
 def test_cache_record_residue_must_be_field_coefficients(residue):
-    rec = {"v": 1, "N": 1, "alpha": 0, "p": 7, "index": "k=1;e=0", "modulus": [6, 1],
-           "zeta_image": [1], "residue": [3]}
-    column = {**rec, "v": 2, "residues": {"k=1;e=0": [3], "k=2;e=0": [4]}}
-    line = {**rec, "v": 3, "index": ["k=1;e=0", "k=2;e=0"], "residues": [3, 4]}
-    assert finite._column(rec) == finite._column(column)[:1] + ((["k=1;e=0"], [3]),)
-    assert finite._column(line) == finite._column(column)
-    assert finite._column(dict(rec, residue=residue)) is None
-    assert finite._column({**column, "residues": {"k=1;e=0": [3], "k=2;e=0": residue}}) is None
+    line = json.loads(_line(["k=1;e=0", "k=2;e=0"], [3, 4]))
+    assert finite._column(line) == (HEAD, (["k=1;e=0", "k=2;e=0"], [3, 4]))
     assert finite._column({**line, "residues": [3, *residue]}) is None
+    # the same cells as a "v": 1 record and a "v": 2 object column, the
+    # formats of older releases, and under any "v" but 3, are no column
+    fields = {key: value for key, value in line.items() if key not in ("index", "residues")}
+    assert finite._column({**fields, "v": 1, "index": "k=1;e=0", "residue": [3]}) is None
+    assert finite._column({**fields, "v": 2, "residues": {"k=1;e=0": [3], "k=2;e=0": [4]}}) is None
+    for v in (1, 2, 4, 3.0, "3", True, None):
+        assert finite._column({**line, "v": v}) is None
 
 
 def test_cache_keeps_records_of_another_twist_in_place(tmp_path):
@@ -658,19 +662,27 @@ def _all_congruence_generators(N, wmax):
 )
 def test_dim_path_cache_bytes_are_pinned(tmp_path, capsys, N, wmax, size, digest):
     # the residue tables of `cmzv dim` for alpha = 1 at 36 primes from floor 50,
-    # as exported: the bytes of the per-entry files of the per-depth batched
-    # kernel that the suffix trie replaced
+    # as exported, each cell made a per-entry record and the records sorted:
+    # the bytes of the per-entry files of the per-depth batched kernel that
+    # the suffix trie replaced
     gens = _all_congruence_generators(N, wmax)
     assert len(gens) == size
     build_residue_table(gens, primes_in_class(N, 1, 36, floor=50), cache_dir=str(tmp_path), jobs=1)
-    data = _export(tmp_path, capsys).encode()
-    assert hashlib.sha256(data).hexdigest() == digest
+    records = []
+    for line in _export(tmp_path, capsys).splitlines():
+        col = json.loads(line)
+        d, flat = len(col["modulus"]) - 1, col.pop("residues")
+        records += [dict(col, v=1, index=key, residue=flat[i * d : (i + 1) * d])
+                    for i, key in enumerate(col.pop("index"))]
+    records.sort(key=lambda rec: (rec["N"], rec["alpha"], rec["p"], rec["index"]))
+    data = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records)
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 def test_inverse_rows_below_two_to_the_sixteen_are_kept_read_only(monkeypatch):
     built = []
-    real_table = finite.inverse_table
-    monkeypatch.setattr(finite, "inverse_table", lambda p: built.append(p) or real_table(p))
+    real_row = finite.inverse_row
+    monkeypatch.setattr(finite, "inverse_row", lambda p: built.append(p) or real_row(p))
     finite._small_inverse_row.cache_clear()
     first = finite._inverse_powers(101, 3, 110)
     again = finite._inverse_powers(101, 2, 101)
